@@ -1,0 +1,43 @@
+"""Golden corpus: recorded CLI invocations replayed in process.
+
+``golden/cases.json`` maps a case name to its argv, in which ``@name``
+stands for the file ``golden/inputs/name``, and to the expected exit code;
+``golden/<case>.out`` holds the expected stdout bytes.  After an intended
+change of output, rewrite the recordings with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff before committing it.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from entroplab.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+def _replay(argv):
+    inputs = GOLDEN / "inputs"
+    return run([str(inputs / a[1:]) if a.startswith("@") else a for a in argv])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    case = CASES[name]
+    outcome = _replay(case["argv"])
+    assert outcome.exit_code == case["exit_code"]
+    assert outcome.text == (GOLDEN / f"{name}.out").read_text()
+
+
+if __name__ == "__main__":
+    for name, case in CASES.items():
+        outcome = _replay(case["argv"])
+        case["exit_code"] = outcome.exit_code
+        (GOLDEN / f"{name}.out").write_text(outcome.text)
+    lines = [f"  {json.dumps(name)}: {json.dumps(case)}" for name, case in CASES.items()]
+    (GOLDEN / "cases.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
