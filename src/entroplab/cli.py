@@ -8,7 +8,8 @@ Exit codes:
   0  the command ran; verdicts, violations, and not-applicable results
      are reported in the body
   1  --strict was given and a checked statement does not hold
-  2  usage errors, malformed inputs, out-of-budget requests
+  2  usage errors, malformed or unreadable inputs, unwritable output
+     files, out-of-budget requests
   3  a verifier returned FAIL, i.e. a mathematically impossible event;
      kept separate from 2 so CI can flag regressions in the math
 """
@@ -38,13 +39,8 @@ from .conditions import (
     check_support_saturation,
     check_unique_common_value,
 )
-from .distributions import (
-    as_fraction,
-    ensure_roles,
-    info_report,
-    load_distribution,
-)
-from .errors import LabError, PreconditionFailed, TooLarge
+from .distributions import as_fraction, info_report, load_distribution
+from .errors import LabError, PreconditionFailed
 from .families import (
     extend_with_random_B,
     gen_distinct_pairs,
@@ -56,6 +52,7 @@ from .families import (
 from .graphs import (
     PARTITION_SEARCH_LIMIT,
     COVER_SEARCH_LIMIT,
+    _min_degrees,
     bcc_color_bound,
     gen_gnk,
     bcc_dual_entropy_bound,
@@ -107,25 +104,33 @@ def _document(doc, exit_code=0) -> CommandOutcome:
     return CommandOutcome(exit_code, json.dumps(doc, indent=2) + "\n", doc)
 
 
-def _usage_error(message: str, code: str = "USAGE") -> CommandOutcome:
-    return _document({"error": {"code": code, "message": message}}, exit_code=2)
-
-
-def _env_limit(default: int) -> int:
-    raw = os.environ.get("ENTROPLAB_LIMIT")
+def _search_limit(flag, default: int) -> int:
+    """The edge cap of an exhaustive search: --limit, else ENTROPLAB_LIMIT,
+    else ``default``."""
+    raw = os.environ.get("ENTROPLAB_LIMIT") if flag is None else flag
     if raw is None:
         return default
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise LabError("BAD_PARAM", f"ENTROPLAB_LIMIT={raw!r} is not an integer")
+    if limit < 0:
+        raise LabError("BAD_PARAM", f"the search limit must not be negative, got {limit}")
+    return limit
 
 
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LabError("IO_ERROR", f"cannot read {path}: {exc}")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise LabError("IO_ERROR", f"cannot write {path}: {exc}")
 
 
 def _load_dist(path: str):
@@ -174,7 +179,7 @@ def _cmd_catalog_gen(args) -> CommandOutcome:
         d = extend_with_random_B(d, args.b_size, _require_flag(args.seed, "--seed"))
     text = d.dumps()
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     return CommandOutcome(0, text, d.to_json_dict())
 
 
@@ -183,38 +188,36 @@ def _cmd_catalog_gen(args) -> CommandOutcome:
 
 
 def _condition_suite(d):
-    e = ensure_roles(d, ("A", "X", "Y"))
     return {
-        COND_INDEPENDENCE: lambda: check_independence(e, "X", "Y"),
-        COND_CI_GIVEN: lambda: check_ci_given(e, "X", "Y", "A"),
-        COND_FUNCTIONAL: lambda: check_functional(e),
-        COND_SUPPORT_SATURATION: lambda: check_support_saturation(e),
-        COND_UNIQUE_COMMON_VALUE: lambda: check_unique_common_value(e),
-        COND_POINTWISE_PRODUCT: lambda: check_pointwise_product(e),
+        COND_INDEPENDENCE: lambda: check_independence(d, "X", "Y"),
+        COND_CI_GIVEN: lambda: check_ci_given(d, "X", "Y", "A"),
+        COND_FUNCTIONAL: lambda: check_functional(d),
+        COND_SUPPORT_SATURATION: lambda: check_support_saturation(d),
+        COND_UNIQUE_COMMON_VALUE: lambda: check_unique_common_value(d),
+        COND_POINTWISE_PRODUCT: lambda: check_pointwise_product(d),
     }
 
 
 def _cmd_info(args) -> CommandOutcome:
     d = _load_dist(args.dist)
-    e = ensure_roles(d, ("A", "B", "X", "Y"))
     conditions = {name: check().to_json_dict() for name, check in _condition_suite(d).items()}
     gaps = {
         report.inequality: report.to_json_dict()
-        for report in (ingleton_gap(e), reduced_ingleton_gap(e), entropy_split_gap(e))
+        for report in (ingleton_gap(d), reduced_ingleton_gap(d), entropy_split_gap(d))
     }
     terms = {
-        "gamma": gamma_term(e).to_json_dict(),
-        "delta": delta_term(e).to_json_dict(),
+        "gamma": gamma_term(d).to_json_dict(),
+        "delta": delta_term(d).to_json_dict(),
     }
     try:
-        terms["delta-prime"] = delta_prime_term(e).to_json_dict()
+        terms["delta-prime"] = delta_prime_term(d).to_json_dict()
     except PreconditionFailed as exc:
         terms["delta-prime"] = {"applicable": False, "witness": exc.witness}
     doc = {
         "variables": list(d.variables),
         "atoms": len(d.atoms),
         "fingerprint": d.fingerprint(),
-        "measures": info_report(e).to_json_dict(),
+        "measures": info_report(d).to_json_dict(),
         "conditions": conditions,
         "gaps": gaps,
         "error_terms": terms,
@@ -250,7 +253,7 @@ def _strictable(status: str, args) -> int:
 
 
 def _cmd_verify(args) -> CommandOutcome:
-    d = ensure_roles(_load_dist(args.dist), ("A", "X", "Y"))
+    d = _load_dist(args.dist)
     token = args.theorem
     if token == "1":
         cert = verify_theorem1(d)
@@ -360,7 +363,7 @@ def _cmd_graph_gen(args) -> CommandOutcome:
     g = gen_gnk(args.n, args.k)
     text = g.dumps()
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     return CommandOutcome(0, text, g.to_json_dict())
 
 
@@ -375,11 +378,8 @@ def _cmd_graph(args) -> CommandOutcome:
             doc["corollary"] = corollary_bound_check(g, partition).to_json_dict()
         return _document(doc, 1 if (args.strict and not report.valid) else 0)
     if action == "min-partition":
-        limit = args.limit if args.limit is not None else _env_limit(PARTITION_SEARCH_LIMIT)
-        k = min_valid_matching_partition(g, limit)
-        left_deg, right_deg = g.degrees()
-        left_min = min(left_deg.values()) if left_deg else 0
-        right_min = min(right_deg.values()) if right_deg else 0
+        k = min_valid_matching_partition(g, _search_limit(args.limit, PARTITION_SEARCH_LIMIT))
+        left_min, right_min = _min_degrees(g)
         doc = {
             "K": k,
             "L": left_min,
@@ -398,8 +398,7 @@ def _cmd_graph(args) -> CommandOutcome:
         doc = {}
         for method in methods:
             if method == "exact":
-                limit = args.limit if args.limit is not None else _env_limit(COVER_SEARCH_LIMIT)
-                cover = min_biclique_cover(g, limit)
+                cover = min_biclique_cover(g, _search_limit(args.limit, COVER_SEARCH_LIMIT))
                 doc["exact"] = {
                     "value": len(cover),
                     "cover": [b.to_json_dict() for b in cover],
@@ -419,11 +418,11 @@ def _cmd_graph(args) -> CommandOutcome:
         return _document(doc)
     if action == "z-extend":
         cover = load_cover(_read(args.cover))
-        report = extend_with_cover_index(g, cover, seed=args.seed)
+        report = extend_with_cover_index(g, cover)
         doc = report.to_json_dict()
         doc["fingerprint"] = report.distribution.fingerprint()
         if args.out:
-            Path(args.out).write_text(report.distribution.dumps())
+            _write(args.out, report.distribution.dumps())
         ok = report.split_holds and report.size_floor_holds
         return _document(doc, 1 if (args.strict and not ok) else 0)
     raise LabError("BAD_PARAM", f"unknown graph action {action!r}")  # pragma: no cover
@@ -537,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ze = graph_sub.add_parser("z-extend")
     ze.add_argument("--graph", required=True)
     ze.add_argument("--cover", required=True)
-    ze.add_argument("--seed", type=int)
     ze.add_argument("--out")
     ze.add_argument("--strict", action="store_true")
     ze.set_defaults(handler=_cmd_graph)
@@ -555,8 +553,6 @@ def run(argv) -> CommandOutcome:
         return CommandOutcome(2, "")
     try:
         return args.handler(args)
-    except TooLarge as exc:
-        return _usage_error(str(exc), code=exc.code)
     except LabError as exc:
         doc = {"error": {"code": exc.code, "message": str(exc)}}
         if exc.witness is not None:

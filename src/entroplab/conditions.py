@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .distributions import ZERO, JointDistribution, Outcome, Symbol
+from .distributions import ZERO, JointDistribution, Outcome, _as_names
 from .errors import LabError, PreconditionFailed
 
 COND_INDEPENDENCE = "independence"
@@ -52,10 +52,6 @@ class Verdict:
         return doc
 
 
-def _names(arg) -> tuple[str, ...]:
-    return (arg,) if isinstance(arg, str) else tuple(arg)
-
-
 def _value(outcome: Outcome):
     # single symbols serialize bare, grouped values as lists
     return outcome[0] if len(outcome) == 1 else list(outcome)
@@ -63,8 +59,8 @@ def _value(outcome: Outcome):
 
 def check_independence(d: JointDistribution, first, second) -> Verdict:
     """Exact independence of two disjoint variable groups, zero cells included."""
-    u = _names(first)
-    v = _names(second)
+    u = _as_names(first)
+    v = _as_names(second)
     if set(u) & set(v):
         raise LabError("OVERLAPPING_SETS", f"{u} and {v} overlap")
     tu = d.table(u)
@@ -81,9 +77,9 @@ def check_independence(d: JointDistribution, first, second) -> Verdict:
 def check_ci_given(d: JointDistribution, first, second, given) -> Verdict:
     """Conditional independence of two groups given a third, decided through
     the exact cross-multiplied form p(a,x) p(a,y) = p(a,x,y) p(a)."""
-    x = _names(first)
-    y = _names(second)
-    a = _names(given)
+    x = _as_names(first)
+    y = _as_names(second)
+    a = _as_names(given)
     for s, t in ((x, y), (x, a), (y, a)):
         if set(s) & set(t):
             raise LabError("OVERLAPPING_SETS", f"{s} and {t} overlap")
@@ -93,15 +89,9 @@ def check_ci_given(d: JointDistribution, first, second, given) -> Verdict:
     taxy = d.table(a + x + y)
     # Cells with p(a,x) = 0 or p(a,y) = 0 make both sides vanish (the right
     # side because p(a,x,y) <= p(a,x)), so only the joined support matters.
-    xs_by_a: dict[Outcome, list[Outcome]] = {}
-    ys_by_a: dict[Outcome, list[Outcome]] = {}
-    for key in tax:
-        xs_by_a.setdefault(key[: len(a)], []).append(key[len(a) :])
-    for key in tay:
-        ys_by_a.setdefault(key[: len(a)], []).append(key[len(a) :])
-    for ca in sorted(xs_by_a):
-        for cx in sorted(xs_by_a[ca]):
-            for cy in sorted(ys_by_a.get(ca, ())):
+    for ca, xs, ys in d.cells(a, x, y):
+        for cx in xs:
+            for cy in ys:
                 lhs = tax[ca + cx] * tay[ca + cy]
                 rhs = taxy.get(ca + cx + cy, ZERO) * ta[ca]
                 if lhs != rhs:
@@ -113,16 +103,11 @@ def check_ci_given(d: JointDistribution, first, second, given) -> Verdict:
 def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verdict:
     """Support-level functional dependence: every cell of ``given`` inside the
     support determines exactly one value of ``target``."""
-    t = _names(target)
-    g = _names(given)
+    t = _as_names(target)
+    g = _as_names(given)
     if set(t) & set(g):
         raise LabError("OVERLAPPING_SETS", f"{t} and {g} overlap")
-    table = d.table(g + t)
-    cells: dict[Outcome, list[Outcome]] = {}
-    for key in table:
-        cells.setdefault(key[: len(g)], []).append(key[len(g) :])
-    for cell in sorted(cells):
-        values = sorted(cells[cell])
+    for cell, values in d.fibres(g, t).items():
         if len(values) > 1:
             witness = {name: val for name, val in zip(g, cell)}
             witness["a"] = _value(values[0])
@@ -131,30 +116,13 @@ def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verd
     return Verdict(COND_FUNCTIONAL, True)
 
 
-def _row_column_values(d: JointDistribution):
-    # values of A sharing positive mass with each x and with each y
-    by_x: dict[Symbol, set[Symbol]] = {}
-    by_y: dict[Symbol, set[Symbol]] = {}
-    for (a, x) in d.table(("A", "X")):
-        by_x.setdefault(x, set()).add(a)
-    for (a, y) in d.table(("A", "Y")):
-        by_y.setdefault(y, set()).add(a)
-    return by_x, by_y
-
-
 def check_support_saturation(d: JointDistribution) -> Verdict:
     """cond-2-B: whenever a is possible with x and possible with y, the triple
     (a, x, y) itself has positive mass."""
     taxy = d.table(("A", "X", "Y"))
-    xs_by_a: dict[Symbol, list[Symbol]] = {}
-    ys_by_a: dict[Symbol, list[Symbol]] = {}
-    for (a, x) in d.table(("A", "X")):
-        xs_by_a.setdefault(a, []).append(x)
-    for (a, y) in d.table(("A", "Y")):
-        ys_by_a.setdefault(a, []).append(y)
-    for a in sorted(xs_by_a):
-        for x in sorted(xs_by_a[a]):
-            for y in sorted(ys_by_a.get(a, ())):
+    for (a,), xs, ys in d.cells("A", "X", "Y"):
+        for (x,) in xs:
+            for (y,) in ys:
                 if (a, x, y) not in taxy:
                     return Verdict(
                         COND_SUPPORT_SATURATION,
@@ -168,7 +136,9 @@ def check_unique_common_value(d: JointDistribution) -> Verdict:
     """cond-2-C: no two distinct values of A are both possible with some x and
     both possible with some y.  The quantifier runs over every (x, y) pair of
     marginal support values, including pairs with p(x, y) = 0."""
-    by_x, by_y = _row_column_values(d)
+    # values of A sharing positive mass with each x and with each y
+    by_x = {x: {a for (a,) in cells} for (x,), cells in d.fibres("X", "A").items()}
+    by_y = {y: {a for (a,) in cells} for (y,), cells in d.fibres("Y", "A").items()}
     best = None
     for x in by_x:
         for y in by_y:
@@ -222,21 +192,15 @@ def check_pointwise_product(d: JointDistribution) -> PointwiseProductReport:
     tay = d.table(("A", "Y"))
     txy = d.table(("X", "Y"))
     taxy = d.table(("A", "X", "Y"))
-    xs_by_a: dict[Symbol, list[Symbol]] = {}
-    ys_by_a: dict[Symbol, list[Symbol]] = {}
-    for (a, x) in tax:
-        xs_by_a.setdefault(a, []).append(x)
-    for (a, y) in tay:
-        ys_by_a.setdefault(a, []).append(y)
     # Outside cells with p(a,x) > 0 and p(a,y) > 0 both sides vanish, so
     # scanning those cells decides the inequality and the equality claim.
     equality = True
     worst = None
     max_ratio = ZERO
     argmax = None
-    for a in sorted(xs_by_a):
-        for x in sorted(xs_by_a[a]):
-            for y in sorted(ys_by_a.get(a, ())):
+    for (a,), xs, ys in d.cells("A", "X", "Y"):
+        for (x,) in xs:
+            for (y,) in ys:
                 lhs = tax[(a, x)] * tay[(a, y)] * txy.get((x, y), ZERO)
                 rhs = ta[(a,)] * tx[(x,)] * ty[(y,)] * taxy.get((a, x, y), ZERO)
                 if lhs != rhs:

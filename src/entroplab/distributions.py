@@ -16,6 +16,10 @@ The JSON wire form is::
 Canonical emission keeps the declared variable order, sorts atoms
 lexicographically by their value tuples, and prints each mass in lowest
 terms, which makes emit/load/emit a fixed point byte for byte.
+
+A canonical role (``ROLE_ORDER``) that a distribution does not declare
+reads as a constant ``"*"`` column in every marginal table, so a missing B
+is the constant variable wherever a measure or a condition names it.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from .errors import LabError
 
 TOLERANCE = 1e-9
 
-# Canonical role order used when a generator or an extension inserts a new
-# role column into an existing distribution.
+# Canonical role order, used when an extension inserts a new role column
+# into an existing distribution.  A role a distribution lacks reads as the
+# constant symbol MISSING_ROLE_SYMBOL.
 ROLE_ORDER = ("A", "B", "X", "Y", "Z")
+MISSING_ROLE_SYMBOL = "*"
 
 Symbol = str
 Outcome = tuple[Symbol, ...]
@@ -157,20 +163,53 @@ class JointDistribution:
 
     def table(self, variables: Iterable[str] | str = ()) -> dict[Outcome, Fraction]:
         """Exact marginal table over the given variables (empty tuple allowed,
-        yielding the trivial table).  The result is cached; treat it as
-        read-only."""
+        yielding the trivial table).  A canonical role the distribution lacks
+        reads as a constant ``"*"`` column; any other unknown name raises
+        UNKNOWN_VARIABLE.  The result is cached; treat it as read-only."""
         names = _as_names(variables)
         cached = self._tables.get(names)
         if cached is not None:
             return cached
-        cols = self._columns(names)
+        wanted = set(names).intersection(self.variables)
+        if not wanted.union(ROLE_ORDER).issuperset(names):
+            self._columns(names)  # raises UNKNOWN_VARIABLE
+        # Marginalize the smallest known table holding every requested column
+        # (the atoms at worst).  Whatever the source, keys come out in order
+        # of first occurrence among the atoms, so every float sum over a
+        # table runs in one order.
+        source_names, source = self.variables, self.atoms
+        for known, candidate in self._tables.items():
+            if len(candidate) < len(source) and wanted.issubset(known):
+                source_names, source = known, candidate
+        cols = [source_names.index(n) if n in source_names else None for n in names]
         out: dict[Outcome, Fraction] = {}
-        for outcome, mass in self.atoms.items():
-            key = tuple(outcome[c] for c in cols)
+        for outcome, mass in source.items():
+            key = tuple(MISSING_ROLE_SYMBOL if c is None else outcome[c] for c in cols)
             prev = out.get(key)
             out[key] = mass if prev is None else prev + mass
         self._tables[names] = out
         return out
+
+    def fibres(self, group, rest) -> dict[Outcome, list[Outcome]]:
+        """The support of ``table(group + rest)`` split by its ``group`` part:
+        each group cell, in sorted order, maps to the sorted ``rest`` cells it
+        occurs with.  Built afresh from the cached table on every call: kept,
+        the map of a fine grouping would cost as much memory as the table."""
+        group = _as_names(group)
+        out: dict[Outcome, list[Outcome]] = {}
+        width = len(group)
+        for key in sorted(self.table(group + _as_names(rest))):
+            out.setdefault(key[:width], []).append(key[width:])
+        return out
+
+    def cells(self, group, first, second) -> Iterator[tuple[Outcome, list[Outcome], list[Outcome]]]:
+        """Yield ``(g, xs, ys)`` for every group cell g of positive mass, in
+        sorted order, where xs and ys are the sorted cells of ``first`` and
+        ``second`` with p(g, x) > 0 and p(g, y) > 0.  The support conditions
+        and the error-term sums range over the products xs * ys."""
+        ys_by_group = self.fibres(group, second)
+        for g, xs in self.fibres(group, first).items():
+            yield g, xs, ys_by_group[g]
 
     def alphabet(self, variable: str) -> list[Symbol]:
         """Sorted support values of one variable."""
@@ -227,22 +266,6 @@ class JointDistribution:
         atoms = {o: self.atoms[o] / mass for o in self.atoms if o in retained}
         return JointDistribution(self.variables, atoms)
 
-    def with_constant(self, variable: str, symbol: Symbol = "*") -> "JointDistribution":
-        """Add a constant column, placed by canonical role order when possible."""
-        if variable in self.variables:
-            raise LabError("SCHEMA_ERROR", f"variable {variable!r} already present")
-        names = _insert_by_role(self.variables, variable)
-        pos = names.index(variable)
-        atoms = {
-            outcome[:pos] + (symbol,) + outcome[pos:]: mass
-            for outcome, mass in self.atoms.items()
-        }
-        return JointDistribution(names, atoms)
-
-    def rename_variables(self, mapping: Mapping[str, str]) -> "JointDistribution":
-        names = tuple(mapping.get(v, v) for v in self.variables)
-        return JointDistribution(names, self.atoms)
-
     def rename_symbols(self, variable: str, mapping: Mapping[Symbol, Symbol]) -> "JointDistribution":
         (col,) = self._columns((variable,))
         atoms = {
@@ -257,7 +280,6 @@ class JointDistribution:
     def entropy(self, variables: Iterable[str] | str = ()) -> float:
         """Shannon entropy of the marginal over ``variables`` (empty set gives 0)."""
         names = _as_names(variables)
-        self._columns(names)
         # + 0.0 turns the IEEE -0.0 of deterministic marginals into plain 0.0
         return -sum(_plog2(p) for p in self.table(names).values()) + 0.0
 
@@ -340,7 +362,7 @@ def load_distribution(doc) -> JointDistribution:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise LabError("SCHEMA_ERROR", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LabError("SCHEMA_ERROR", "document must be a JSON object")
@@ -352,6 +374,8 @@ def load_distribution(doc) -> JointDistribution:
     if not isinstance(variables, list) or not isinstance(rows, list):
         raise LabError("SCHEMA_ERROR", "'variables' and 'atoms' must be lists")
     names = tuple(variables)
+    if any(not isinstance(v, str) for v in names):
+        raise LabError("SCHEMA_ERROR", "variable names must be strings")
     pairs = []
     dropped = 0
     for row in rows:
@@ -395,21 +419,15 @@ def build_markov_fork(d: JointDistribution) -> JointDistribution:
     gx = d.table(group + ("X",))
     gy = d.table(group + ("Y",))
     gg = d.table(group)
-    ys_by_group: dict[Outcome, list[tuple[Symbol, Fraction]]] = {}
-    for key, mass in gy.items():
-        ys_by_group.setdefault(key[:-1], []).append((key[-1], mass))
-    order = {name: d.variables.index(name) for name in d.variables}
-    width = len(d.variables)
+    places = [d.variables.index(name) for name in group + ("X", "Y")]
     atoms: dict[Outcome, Fraction] = {}
-    for key, mass_x in gx.items():
-        g, x = key[:-1], key[-1]
-        for y, mass_y in ys_by_group.get(g, ()):
-            outcome = [None] * width
-            for name, value in zip(group, g):
-                outcome[order[name]] = value
-            outcome[order["X"]] = x
-            outcome[order["Y"]] = y
-            atoms[tuple(outcome)] = mass_x * mass_y / gg[g]
+    for g, xs, ys in d.cells(group, "X", "Y"):
+        for x in xs:
+            for y in ys:
+                outcome = [None] * len(places)
+                for place, value in zip(places, g + x + y):
+                    outcome[place] = value
+                atoms[tuple(outcome)] = gx[g + x] * gy[g + y] / gg[g]
     return JointDistribution(d.variables, atoms)
 
 
@@ -434,36 +452,25 @@ class InfoReport:
         return dict(self.measures)
 
 
-def ensure_roles(d: JointDistribution, roles=("A", "B", "X", "Y")) -> JointDistribution:
-    """Return d with every requested canonical role present, adding constant
-    columns for the missing ones (a missing role carries no information)."""
-    out = d
-    for role in roles:
-        if role not in out.variables:
-            out = out.with_constant(role)
-    return out
-
-
 def info_report(d: JointDistribution) -> InfoReport:
     """The full panel of entropies and mutual informations over A, B, X, Y."""
-    e = ensure_roles(d)
     m: dict[str, float] = {}
     for role in ("A", "B", "X", "Y"):
-        m[f"H({role})"] = e.entropy(role)
-    m["H(A|X)"] = e.cond_entropy("A", "X")
-    m["H(A|Y)"] = e.cond_entropy("A", "Y")
-    m["H(A|X,Y)"] = e.cond_entropy("A", ("X", "Y"))
-    m["H(A|B)"] = e.cond_entropy("A", "B")
-    m["H(A|B,X)"] = e.cond_entropy("A", ("B", "X"))
-    m["H(A|B,Y)"] = e.cond_entropy("A", ("B", "Y"))
-    m["I(X:Y)"] = e.mutual_info("X", "Y")
-    m["I(A:B)"] = e.mutual_info("A", "B")
-    m["I(A:X)"] = e.mutual_info("A", "X")
-    m["I(A:Y)"] = e.mutual_info("A", "Y")
-    m["I(X:Y|A)"] = e.mutual_info("X", "Y", "A")
-    m["I(A:B|X)"] = e.mutual_info("A", "B", "X")
-    m["I(A:B|Y)"] = e.mutual_info("A", "B", "Y")
-    m["I(X:Y:A)"] = e.triple_mutual_info("X", "Y", "A")
+        m[f"H({role})"] = d.entropy(role)
+    m["H(A|X)"] = d.cond_entropy("A", "X")
+    m["H(A|Y)"] = d.cond_entropy("A", "Y")
+    m["H(A|X,Y)"] = d.cond_entropy("A", ("X", "Y"))
+    m["H(A|B)"] = d.cond_entropy("A", "B")
+    m["H(A|B,X)"] = d.cond_entropy("A", ("B", "X"))
+    m["H(A|B,Y)"] = d.cond_entropy("A", ("B", "Y"))
+    m["I(X:Y)"] = d.mutual_info("X", "Y")
+    m["I(A:B)"] = d.mutual_info("A", "B")
+    m["I(A:X)"] = d.mutual_info("A", "X")
+    m["I(A:Y)"] = d.mutual_info("A", "Y")
+    m["I(X:Y|A)"] = d.mutual_info("X", "Y", "A")
+    m["I(A:B|X)"] = d.mutual_info("A", "B", "X")
+    m["I(A:B|Y)"] = d.mutual_info("A", "B", "Y")
+    m["I(X:Y:A)"] = d.triple_mutual_info("X", "Y", "A")
     report = InfoReport(m)
     report.validate()
     return report

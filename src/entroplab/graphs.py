@@ -149,11 +149,29 @@ class ColoredBipartiteGraph:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def load_graph(doc) -> ColoredBipartiteGraph:
+def _load_object(doc, keys: set, message: str) -> dict:
     if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    if not isinstance(doc, dict) or set(doc) != {"left", "right", "edges"}:
-        raise LabError("SCHEMA_ERROR", "graph document needs exactly left/right/edges")
+        try:
+            doc = json.loads(doc)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise LabError("SCHEMA_ERROR", f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or set(doc) != keys:
+        raise LabError("SCHEMA_ERROR", message)
+    if any(not isinstance(value, list) for value in doc.values()):
+        raise LabError("SCHEMA_ERROR", f"{message}, each a list")
+    return doc
+
+
+def _strings(value, what: str, length=None) -> tuple[str, ...]:
+    if (not isinstance(value, list) or any(not isinstance(s, str) for s in value)
+            or length not in (None, len(value))):
+        raise LabError("SCHEMA_ERROR", f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def load_graph(doc) -> ColoredBipartiteGraph:
+    doc = _load_object(doc, {"left", "right", "edges"},
+                       "graph document needs exactly left/right/edges")
     edges = []
     for row in doc["edges"]:
         if not isinstance(row, dict) or not {"x", "y", "color"} <= set(row):
@@ -161,9 +179,12 @@ def load_graph(doc) -> ColoredBipartiteGraph:
         extra = set(row) - {"x", "y", "color", "w"}
         if extra:
             raise LabError("SCHEMA_ERROR", f"unknown edge keys {sorted(extra)}")
+        x, y, color = _strings([row["x"], row["y"], row["color"]], "edge x, y and color")
         weight = as_fraction(row["w"]) if "w" in row else None
-        edges.append(Edge(row["x"], row["y"], row["color"], weight))
-    return ColoredBipartiteGraph(doc["left"], doc["right"], edges)
+        edges.append(Edge(x, y, color, weight))
+    return ColoredBipartiteGraph(
+        _strings(doc["left"], "'left'"), _strings(doc["right"], "'right'"), edges
+    )
 
 
 @dataclass(frozen=True)
@@ -179,15 +200,13 @@ class Biclique:
 
 
 def load_cover(doc) -> list[Biclique]:
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    if not isinstance(doc, dict) or set(doc) != {"bicliques"}:
-        raise LabError("SCHEMA_ERROR", "cover document needs exactly a bicliques list")
+    doc = _load_object(doc, {"bicliques"}, "cover document needs exactly a bicliques list")
     cover = []
     for row in doc["bicliques"]:
         if not isinstance(row, dict) or set(row) != {"left", "right"}:
             raise LabError("SCHEMA_ERROR", f"malformed biclique {row!r}")
-        cover.append(Biclique(tuple(row["left"]), tuple(row["right"])))
+        cover.append(Biclique(_strings(row["left"], "biclique left side"),
+                              _strings(row["right"], "biclique right side")))
     return cover
 
 
@@ -196,11 +215,13 @@ def dump_cover(cover) -> str:
 
 
 def load_partition(doc) -> list[list[tuple[str, str]]]:
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    if not isinstance(doc, dict) or set(doc) != {"matchings"}:
-        raise LabError("SCHEMA_ERROR", "partition document needs exactly a matchings list")
-    return [[(x, y) for x, y in part] for part in doc["matchings"]]
+    doc = _load_object(doc, {"matchings"}, "partition document needs exactly a matchings list")
+    partition = []
+    for part in doc["matchings"]:
+        if not isinstance(part, list):
+            raise LabError("SCHEMA_ERROR", f"matching {part!r} must be a list of edges")
+        partition.append([_strings(pair, "partition edge", length=2) for pair in part])
+    return partition
 
 
 def dump_partition(partition) -> str:
@@ -396,7 +417,9 @@ class _PartitionSearch:
     found mid-branch rules out the whole subtree.
     """
 
-    def __init__(self, g: ColoredBipartiteGraph):
+    def __init__(self, g: ColoredBipartiteGraph, limit: int):
+        if len(g.edges) > limit:
+            raise TooLarge(f"{len(g.edges)} edges exceed the partition search limit {limit}")
         self.edges = [e.pair() for e in g.edges]
         self.parts_left: list[set] = []
         self.parts_right: list[set] = []
@@ -427,73 +450,62 @@ class _PartitionSearch:
         for pair in claimed:
             del self.owner[pair]
 
-    def iter_partitions(self, assignment=None, index=0):
-        if assignment is None:
-            assignment = []
-        if index == len(self.edges):
-            parts = [[] for _ in self.parts_left]
-            for pos, j in enumerate(assignment):
-                parts[j].append(self.edges[pos])
-            yield parts
-            return
-        x, y = self.edges[index]
-        used = len(self.parts_left)
-        for j in range(used + 1):
-            if j == used:
-                self.parts_left.append(set())
-                self.parts_right.append(set())
-            claimed = self._try_place(x, y, j)
-            if claimed is not None:
-                assignment.append(j)
-                yield from self.iter_partitions(assignment, index + 1)
-                assignment.pop()
-                self._undo(x, y, j, claimed)
-            if j == used:
-                self.parts_left.pop()
-                self.parts_right.pop()
+    def partitions(self, cap=None):
+        """Yield each valid partition as a list of parts.
 
-    def minimize(self):
-        best = [len(self.edges)]
+        Without ``cap`` every valid partition comes out.  With one, only
+        partitions of fewer than ``cap`` parts are searched for, and each one
+        yielded lowers the cap to its own size, so the last one is smallest.
+        """
+        shrink = cap is not None
+        if not shrink:
+            cap = len(self.edges) + 1
+        assignment = []
 
         def walk(index):
+            nonlocal cap
             used = len(self.parts_left)
-            if used >= best[0]:
+            if used >= cap:
                 return
             if index == len(self.edges):
-                best[0] = used
+                if shrink:
+                    cap = used
+                parts = [[] for _ in range(used)]
+                for pos, j in enumerate(assignment):
+                    parts[j].append(self.edges[pos])
+                yield parts
                 return
             x, y = self.edges[index]
-            for j in range(min(used + 1, best[0])):
+            for j in range(min(used + 1, cap)):
                 if j == used:
                     self.parts_left.append(set())
                     self.parts_right.append(set())
                 claimed = self._try_place(x, y, j)
                 if claimed is not None:
-                    walk(index + 1)
+                    assignment.append(j)
+                    yield from walk(index + 1)
+                    assignment.pop()
                     self._undo(x, y, j, claimed)
                 if j == used:
                     self.parts_left.pop()
                     self.parts_right.pop()
 
-        walk(0)
-        return best[0]
+        yield from walk(0)
 
 
 def iter_valid_matching_partitions(g: ColoredBipartiteGraph, limit=PARTITION_SEARCH_LIMIT):
     """Yield every valid matching partition of the edge set (all-singletons
     is always among them)."""
-    if len(g.edges) > limit:
-        raise TooLarge(f"{len(g.edges)} edges exceed the partition search limit {limit}")
-    yield from _PartitionSearch(g).iter_partitions()
+    yield from _PartitionSearch(g, limit).partitions()
 
 
 def min_valid_matching_partition(g: ColoredBipartiteGraph, limit=PARTITION_SEARCH_LIMIT) -> int:
     """Minimal number of parts over all valid matching partitions."""
-    if len(g.edges) > limit:
-        raise TooLarge(f"{len(g.edges)} edges exceed the partition search limit {limit}")
-    if not g.edges:
-        return 0
-    return _PartitionSearch(g).minimize()
+    search = _PartitionSearch(g, limit)
+    k = len(g.edges)  # the all-singletons partition is always valid
+    for parts in search.partitions(cap=k):
+        k = len(parts)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +684,8 @@ def _root_lower_bound(g: ColoredBipartiteGraph) -> int:
 
 def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> list[Biclique]:
     """An optimal biclique cover by branch-and-bound set cover over the
-    maximal bicliques, branching on the least-covered edge."""
+    maximal bicliques, branching on the least-covered edge (the first in
+    edge order among ties, so the answer does not depend on hashing)."""
     if len(g.edges) > limit:
         raise TooLarge(f"{len(g.edges)} edges exceed the cover search limit {limit}")
     if not g.edges:
@@ -691,6 +704,7 @@ def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> li
     best_size = len(best)
     floor = _root_lower_bound(g)
     biggest = max(len(c) for c in cells)
+    rank = {e.pair(): (sum(1 for c in cells if e.pair() in c), i) for i, e in enumerate(g.edges)}
 
     def walk(uncovered, chosen):
         nonlocal best, best_size
@@ -700,7 +714,7 @@ def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> li
             return
         if len(chosen) + math.ceil(len(uncovered) / biggest) >= best_size:
             return
-        pivot = min(uncovered, key=lambda e: sum(1 for c in cells if e in c))
+        pivot = min(uncovered, key=rank.__getitem__)
         options = [i for i, c in enumerate(cells) if pivot in c]
         options.sort(key=lambda i: -len(cells[i] & uncovered))
         for i in options:
@@ -753,7 +767,7 @@ class ZExtensionReport:
         }
 
 
-def extend_with_cover_index(g: ColoredBipartiteGraph, cover, seed=None) -> ZExtensionReport:
+def extend_with_cover_index(g: ColoredBipartiteGraph, cover) -> ZExtensionReport:
     """Adjoin a cover-index variable Z: each edge atom splits uniformly
     across the bicliques that contain it.
 
@@ -762,9 +776,6 @@ def extend_with_cover_index(g: ColoredBipartiteGraph, cover, seed=None) -> ZExte
     and the entropy split applies clique by clique, giving
     H(A|X,Z) + H(A|Y,Z) <= H(A|Z) and in turn
     cover size >= 2^((H(A|X)+H(A|Y)-H(A))/2).
-
-    The `seed` parameter is accepted for interface stability; the uniform
-    tie-break makes the construction deterministic without it.
     """
     verdict = verify_biclique_cover(g, cover)
     if not verdict.holds:

@@ -19,7 +19,10 @@ quadruples (a, b, x, y) with p(a,b,x) > 0 and p(a,b,y) > 0:
   delta-prime  max over support cells (a, x, y) of
                p(a,x) p(a,y) p(x,y) / (p(a) p(x) p(y) p(a,x,y))
 
-A missing B column is treated as a constant variable throughout.
+Within one (a, b) fibre the gamma and delta summands are a product of a
+factor in x and a factor in y, so each fibre contributes
+(sum over x) * (sum over y), exactly.  A missing B column reads as a
+constant variable throughout (see ``JointDistribution.table``).
 
 Verifier statuses: PASS (hypothesis holds and every assertion checks out),
 NOT_APPLICABLE (the hypothesis fails, with a witness), and FAIL, which
@@ -95,18 +98,13 @@ def _certificate(kind: str, power_sum: Fraction) -> ErrorTermCertificate:
     return ErrorTermCertificate(kind, power_sum, log2_fraction(power_sum))
 
 
-def _with_b(d: JointDistribution) -> JointDistribution:
-    return d if "B" in d.variables else d.with_constant("B")
-
-
 def ingleton_gap(d: JointDistribution) -> GapReport:
     """Gap of I(A:B) <= I(A:B|X) + I(A:B|Y) + I(X:Y)."""
-    e = _with_b(d)
     terms = {
-        "I(A:B|X)": e.mutual_info("A", "B", "X"),
-        "I(A:B|Y)": e.mutual_info("A", "B", "Y"),
-        "I(X:Y)": e.mutual_info("X", "Y"),
-        "I(A:B)": e.mutual_info("A", "B"),
+        "I(A:B|X)": d.mutual_info("A", "B", "X"),
+        "I(A:B|Y)": d.mutual_info("A", "B", "Y"),
+        "I(X:Y)": d.mutual_info("X", "Y"),
+        "I(A:B)": d.mutual_info("A", "B"),
     }
     gap = terms["I(A:B|X)"] + terms["I(A:B|Y)"] + terms["I(X:Y)"] - terms["I(A:B)"]
     return GapReport("ingleton", gap, terms)
@@ -114,11 +112,10 @@ def ingleton_gap(d: JointDistribution) -> GapReport:
 
 def reduced_ingleton_gap(d: JointDistribution) -> GapReport:
     """Gap of I(A:B) <= I(A:B|X) + I(A:B|Y)."""
-    e = _with_b(d)
     terms = {
-        "I(A:B|X)": e.mutual_info("A", "B", "X"),
-        "I(A:B|Y)": e.mutual_info("A", "B", "Y"),
-        "I(A:B)": e.mutual_info("A", "B"),
+        "I(A:B|X)": d.mutual_info("A", "B", "X"),
+        "I(A:B|Y)": d.mutual_info("A", "B", "Y"),
+        "I(A:B)": d.mutual_info("A", "B"),
     }
     gap = terms["I(A:B|X)"] + terms["I(A:B|Y)"] - terms["I(A:B)"]
     return GapReport("reduced-ingleton", gap, terms)
@@ -126,70 +123,50 @@ def reduced_ingleton_gap(d: JointDistribution) -> GapReport:
 
 def entropy_split_gap(d: JointDistribution) -> GapReport:
     """Gap of H(A|B,X) + H(A|B,Y) <= H(A|B)."""
-    e = _with_b(d)
     terms = {
-        "H(A|B)": e.cond_entropy("A", "B"),
-        "H(A|B,X)": e.cond_entropy("A", ("B", "X")),
-        "H(A|B,Y)": e.cond_entropy("A", ("B", "Y")),
+        "H(A|B)": d.cond_entropy("A", "B"),
+        "H(A|B,X)": d.cond_entropy("A", ("B", "X")),
+        "H(A|B,Y)": d.cond_entropy("A", ("B", "Y")),
     }
     gap = terms["H(A|B)"] - terms["H(A|B,X)"] - terms["H(A|B,Y)"]
     return GapReport("entropy-split", gap, terms)
 
 
-def _support_quadruples(e: JointDistribution):
-    """Iterate (a, b, xs, ys): for each (a, b) group the x and y values with
-    p(a,b,x) > 0 and p(a,b,y) > 0.  The error-term index set runs over one
-    term per quadruple (a, b, x, y) drawn from these lists."""
-    xs_by_ab: dict[tuple, list] = {}
-    ys_by_ab: dict[tuple, list] = {}
-    for (a, b, x) in e.table(("A", "B", "X")):
-        xs_by_ab.setdefault((a, b), []).append(x)
-    for (a, b, y) in e.table(("A", "B", "Y")):
-        ys_by_ab.setdefault((a, b), []).append(y)
-    for (a, b), xs in xs_by_ab.items():
-        ys = ys_by_ab.get((a, b))
-        if ys:
-            yield a, b, xs, ys
+def _b_split_sum(d: JointDistribution, group) -> Fraction:
+    # sum over the fibres of ``group`` (which ends with B) and over their
+    # (x, y) cells of p(b,x) p(b,y) / p(b)
+    tb = d.table("B")
+    tbx = d.table(("B", "X"))
+    tby = d.table(("B", "Y"))
+    total = ZERO
+    for g, xs, ys in d.cells(group, "X", "Y"):
+        b = g[-1]
+        sum_x = sum(tbx[(b, x)] for (x,) in xs)
+        sum_y = sum(tby[(b, y)] for (y,) in ys)
+        total += sum_x * sum_y / tb[(b,)]
+    return total
 
 
 def gamma_term(d: JointDistribution) -> ErrorTermCertificate:
     """Exact certificate for the entropy-split error term."""
-    e = _with_b(d)
-    tb = e.table(("B",))
-    tbx = e.table(("B", "X"))
-    tby = e.table(("B", "Y"))
-    total = ZERO
-    for a, b, xs, ys in _support_quadruples(e):
-        pb = tb[(b,)]
-        for x in xs:
-            for y in ys:
-                total += tbx[(b, x)] * tby[(b, y)] / pb
-    return _certificate("gamma", total)
+    return _certificate("gamma", _b_split_sum(d, ("A", "B")))
 
 
 def delta_term(d: JointDistribution) -> ErrorTermCertificate:
     """Exact certificate for the reduced-Ingleton error term."""
-    e = _with_b(d)
-    ta = e.table(("A",))
-    tb = e.table(("B",))
-    tx = e.table(("X",))
-    ty = e.table(("Y",))
-    tax = e.table(("A", "X"))
-    tay = e.table(("A", "Y"))
-    tbx = e.table(("B", "X"))
-    tby = e.table(("B", "Y"))
+    ta = d.table("A")
+    tb = d.table("B")
+    tx = d.table("X")
+    ty = d.table("Y")
+    tax = d.table(("A", "X"))
+    tay = d.table(("A", "Y"))
+    tbx = d.table(("B", "X"))
+    tby = d.table(("B", "Y"))
     total = ZERO
-    for a, b, xs, ys in _support_quadruples(e):
-        scale = ta[(a,)] * tb[(b,)]
-        for x in xs:
-            for y in ys:
-                total += (
-                    tax[(a, x)]
-                    * tay[(a, y)]
-                    * tbx[(b, x)]
-                    * tby[(b, y)]
-                    / (scale * tx[(x,)] * ty[(y,)])
-                )
+    for (a, b), xs, ys in d.cells(("A", "B"), "X", "Y"):
+        sum_x = sum(tax[(a, x)] * tbx[(b, x)] / tx[(x,)] for (x,) in xs)
+        sum_y = sum(tay[(a, y)] * tby[(b, y)] / ty[(y,)] for (y,) in ys)
+        total += sum_x * sum_y / (ta[(a,)] * tb[(b,)])
     return _certificate("delta", total)
 
 
@@ -284,25 +261,6 @@ class Theorem1Certificate:
         }
 
 
-def _route_sum(d: JointDistribution) -> Fraction:
-    e = _with_b(d)
-    tb = e.table(("B",))
-    xs_by_b: dict[str, list] = {}
-    ys_by_b: dict[str, list] = {}
-    tbx = e.table(("B", "X"))
-    tby = e.table(("B", "Y"))
-    for (b, x) in tbx:
-        xs_by_b.setdefault(b, []).append(x)
-    for (b, y) in tby:
-        ys_by_b.setdefault(b, []).append(y)
-    total = ZERO
-    for b, xs in xs_by_b.items():
-        for x in xs:
-            for y in ys_by_b.get(b, ()):
-                total += tbx[(b, x)] * tby[(b, y)] / tb[(b,)]
-    return total
-
-
 def verify_theorem1(d: JointDistribution) -> Theorem1Certificate:
     """Entropy-split inequality for distributions satisfying cond-2-C."""
     condition = check_unique_common_value(d)
@@ -311,7 +269,7 @@ def verify_theorem1(d: JointDistribution) -> Theorem1Certificate:
     gap = entropy_split_gap(d)
     gamma = gamma_term(d)
     power_ok = gamma.power_sum <= 1
-    route = _route_sum(d)
+    route = _b_split_sum(d, ("B",))
     route_ok = route == 1
     ok = gap.gap >= -TOLERANCE and power_ok and route_ok
     return Theorem1Certificate(

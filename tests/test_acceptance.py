@@ -37,13 +37,12 @@ from entroplab import (
     min_biclique_cover,
     min_valid_matching_partition,
     sample_cond2c,
-    sample_random_distribution,
     verify_lemma2,
     verify_matching_partition,
     verify_theorem1,
     verify_theorem2,
 )
-from entroplab.cli import run
+from entroplab.cli import _sparse_sample, run
 from entroplab.graphs import iter_valid_matching_partitions
 
 TOL = 1e-9
@@ -55,14 +54,6 @@ def budget(seconds):
     yield
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"runtime budget exceeded: {elapsed:.1f}s >= {seconds}s"
-
-
-def _sparse_sample(rng):
-    sizes = tuple(rng.randint(1, 3) for _ in range(4))
-    d = sample_random_distribution(("A", "B", "X", "Y"), sizes, rng.randrange(2**32))
-    outcomes = sorted(d.atoms)
-    keep = rng.randint(1, len(outcomes))
-    return d.condition(rng.sample(outcomes, keep))
 
 
 def test_criterion_01_theorem1_fuzz_1000_seeds():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from entroplab.cli import run
 from entroplab.distributions import JointDistribution, load_distribution
 from entroplab.families import gen_distinct_pairs
-from entroplab.graphs import gen_gnk
+from entroplab.graphs import dump_cover, gen_gnk, min_biclique_cover
 
 from conftest import pairs_triple, xor_triple
 
@@ -389,6 +390,58 @@ def test_malformed_file_exits_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert invoke("info", "report", "--dist", str(path)).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, files, env, code",
+    [
+        (("graph", "bcc", "--graph", "@bad"),
+         {"bad": '{"left": ["x1"], "right": ["y1"], "edges": [{"x"'}, {}, "SCHEMA_ERROR"),
+        (("graph", "bcc", "--graph", "@bad"),
+         {"bad": '{"left": 5, "right": [], "edges": []}'}, {}, "SCHEMA_ERROR"),
+        (("graph", "verify-partition", "--graph", "@g", "--partition", "@bad"),
+         {"bad": '{"matchings": [[["x1"]]]}'}, {}, "SCHEMA_ERROR"),
+        (("graph", "verify-cover", "--graph", "@g", "--cover", "@bad"),
+         {"bad": '{"bicliques": 5}'}, {}, "SCHEMA_ERROR"),
+        (("check", "--all", "--dist", "@bad"), {"bad": b"\xff\xfe"}, {}, "IO_ERROR"),
+        (("catalog", "gen", "--family", "distinct-pairs", "--n", "3", "--out", "@no/d.json"),
+         {}, {}, "IO_ERROR"),
+        (("graph", "gen", "--n", "4", "--k", "1", "--out", "@no/g.json"), {}, {}, "IO_ERROR"),
+        (("graph", "z-extend", "--graph", "@g", "--cover", "@c", "--out", "@no/z.json"),
+         {}, {}, "IO_ERROR"),
+        (("graph", "min-partition", "--graph", "@g", "--limit", "-1"), {}, {}, "BAD_PARAM"),
+        (("graph", "bcc", "--graph", "@g", "--method", "exact"),
+         {}, {"ENTROPLAB_LIMIT": "-5"}, "BAD_PARAM"),
+    ],
+)
+def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):
+    g = gen_gnk(4, 1)
+    files = {"g": g.dumps(), "c": dump_cover(min_biclique_cover(g)), **files}
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    outcome = invoke(*(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
+    assert outcome.exit_code == 2
+    assert json.loads(outcome.text)["error"]["code"] == code
+
+
+def test_exact_cover_ignores_hash_seed(graph_file):
+    path = graph_file(gen_gnk(6, 1))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "entroplab", "graph", "bcc", "--graph", path,
+             "--method", "exact", "--limit", "30"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=seed),
+        )
+        for seed in ("1", "2")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_help_exits_zero():

@@ -106,11 +106,13 @@ def test_load_drops_zero_atoms_with_warning():
     "doc",
     [
         "not json at all {",
+        b"\xff not UTF-8",
         {"variables": ["A"]},
         {"variables": ["A"], "atoms": [{"values": {"B": "b"}, "p": 1}]},
         {"variables": ["A"], "atoms": [{"values": {"A": "a"}, "p": 0.5}]},
         {"variables": ["A"], "atoms": [{"values": {"A": "a"}, "p": 1}], "extra": 1},
         {"variables": ["A", "A"], "atoms": [{"values": {"A": "a"}, "p": 1}]},
+        {"variables": [["A"]], "atoms": [{"values": {}, "p": 1}]},
     ],
 )
 def test_load_rejects_malformed_documents(doc):
@@ -376,7 +378,12 @@ def test_immutability_guard():
         d.variables = ("Z",)
 
 
-def test_with_constant_keeps_role_order():
-    d = xor_triple().with_constant("B")
-    assert d.variables == ("A", "B", "X", "Y")
+def test_missing_role_reads_as_constant_column():
+    d = xor_triple()
+    assert list(d.table(("A", "B", "X"))) == [(a, "*", x) for a, x in d.table(("A", "X"))]
+    assert d.table("B") == {("*",): 1}
     assert d.entropy("B") == 0.0
+    assert d.cond_entropy("A", ("B", "X")) == d.cond_entropy("A", "X")
+    with pytest.raises(LabError) as err:
+        d.table(("A", "Q"))
+    assert err.value.code == "UNKNOWN_VARIABLE"

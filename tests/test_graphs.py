@@ -501,14 +501,6 @@ def test_z_extension_rejects_non_cover():
     assert err.value.code == "NOT_A_COVER"
 
 
-def test_z_extension_ignores_seed():
-    g = gen_gnk(4, 1)
-    cover = min_biclique_cover(g)
-    a = extend_with_cover_index(g, cover, seed=1)
-    b = extend_with_cover_index(g, cover, seed=99)
-    assert a.distribution == b.distribution
-
-
 def test_z_extension_distribution_round_trips():
     g = gen_gnk(4, 1)
     report = extend_with_cover_index(g, min_biclique_cover(g))
