@@ -106,13 +106,13 @@ def test_load_drops_zero_atoms_with_warning():
     "doc",
     [
         "not json at all {",
-        b"\xff not UTF-8",
         {"variables": ["A"]},
         {"variables": ["A"], "atoms": [{"values": {"B": "b"}, "p": 1}]},
         {"variables": ["A"], "atoms": [{"values": {"A": "a"}, "p": 0.5}]},
         {"variables": ["A"], "atoms": [{"values": {"A": "a"}, "p": 1}], "extra": 1},
         {"variables": ["A", "A"], "atoms": [{"values": {"A": "a"}, "p": 1}]},
         {"variables": [["A"]], "atoms": [{"values": {}, "p": 1}]},
+        b"\xff not UTF-8",
     ],
 )
 def test_load_rejects_malformed_documents(doc):
