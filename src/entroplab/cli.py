@@ -21,7 +21,6 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .conditions import (
     COND_CI_GIVEN,
@@ -97,11 +96,10 @@ DEFAULT_ROLE_BY_ARITY = {
 class CommandOutcome:
     exit_code: int
     text: str
-    document: Optional[object] = None
 
 
 def _document(doc, exit_code=0) -> CommandOutcome:
-    return CommandOutcome(exit_code, json.dumps(doc, indent=2) + "\n", doc)
+    return CommandOutcome(exit_code, json.dumps(doc, indent=2) + "\n")
 
 
 def _search_limit(flag, default: int) -> int:
@@ -180,7 +178,7 @@ def _cmd_catalog_gen(args) -> CommandOutcome:
     text = d.dumps()
     if args.out:
         _write(args.out, text)
-    return CommandOutcome(0, text, d.to_json_dict())
+    return CommandOutcome(0, text)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +261,9 @@ def _cmd_verify(args) -> CommandOutcome:
         return _document(cert.to_json_dict(), _strictable(cert.status, args))
     if token == "lemma1":
         audit = audit_lemma1(d)
-        return _document(audit.to_json_dict(), 0 if audit.ok else 3)
+        doc = audit.to_json_dict()
+        doc["fingerprint"] = d.fingerprint()
+        return _document(doc, 0 if audit.ok else 3)
     if token == "lemma2":
         cert = verify_lemma2(d)
         return _document(cert.to_json_dict(), 0 if cert.status == PASS else 3)
@@ -336,13 +336,13 @@ def _cmd_fuzz(args) -> CommandOutcome:
         counts[status] = counts.get(status, 0) + 1
         rows.append((trial, d.fingerprint(), status))
         if status == FAIL and first_failure is None:
-            first_failure = {"trial": trial, "fingerprint": d.fingerprint()}
+            first_failure = {"trial": trial, "fingerprint": rows[-1][1]}
     failures = counts.get(FAIL, 0)
     exit_code = 3 if failures else 0
     if args.csv:
         lines = ["trial,fingerprint,status"]
         lines += [f"{t},{fp},{status}" for t, fp, status in rows]
-        return CommandOutcome(exit_code, "\n".join(lines) + "\n", None)
+        return CommandOutcome(exit_code, "\n".join(lines) + "\n")
     doc = {
         "target": args.target,
         "trials": args.trials,
@@ -364,7 +364,7 @@ def _cmd_graph_gen(args) -> CommandOutcome:
     text = g.dumps()
     if args.out:
         _write(args.out, text)
-    return CommandOutcome(0, text, g.to_json_dict())
+    return CommandOutcome(0, text)
 
 
 def _cmd_graph(args) -> CommandOutcome:

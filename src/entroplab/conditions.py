@@ -246,7 +246,6 @@ class Lemma1Audit:
     support_saturation: Verdict
     unique_common_value: Verdict
     violations: tuple[str, ...]
-    fingerprint: str
 
     @property
     def ok(self) -> bool:
@@ -265,7 +264,6 @@ class Lemma1Audit:
             },
             "violations": list(self.violations),
             "ok": self.ok,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -283,7 +281,7 @@ def audit_lemma1(d: JointDistribution) -> Lemma1Audit:
         violations.append("functional+cond-2-B->cond-2-C")
     if ucv.holds and not fn.holds:
         violations.append("cond-2-C->functional")
-    return Lemma1Audit(ci, fn, sat, ucv, tuple(violations), d.fingerprint())
+    return Lemma1Audit(ci, fn, sat, ucv, tuple(violations))
 
 
 @dataclass(frozen=True)

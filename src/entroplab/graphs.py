@@ -406,104 +406,78 @@ def corollary_bound_check(g: ColoredBipartiteGraph, partition) -> CorollaryCerti
                                 cert.status, measures)
 
 
-class _PartitionSearch:
-    """Restricted-growth enumeration of valid matching partitions.
+def _partitions(g: ColoredBipartiteGraph, limit: int, cap=None):
+    """Yield each valid matching partition as a list of parts.
 
-    Edges are assigned in a fixed order; edge i may open part j only if
-    parts 0..j-1 are already in use, so each set partition is visited
-    once.  Matching and pair-involvement constraints are maintained
-    incrementally: `owner` maps an involved (x, y) pair to its part, and
-    involvement only ever grows when a part gains an edge, so a clash
-    found mid-branch rules out the whole subtree.
+    Restricted-growth enumeration: edges are assigned in a fixed order, and
+    edge i may open part j only if parts 0..j-1 are already in use, so each
+    set partition is visited once.  Part j is held as a mask of its left
+    vertices and a mask of its right vertices.  It stays a matching while no
+    edge adds a bit it already has, and two parts involve a common (x, y)
+    pair exactly when they share a left bit and a right bit.  Involvement
+    only grows along a branch, so a clash rules out the whole subtree.
+
+    Without ``cap`` every valid partition comes out.  With one, only
+    partitions of fewer than ``cap`` parts are searched for, and each one
+    yielded lowers the cap to its own size, so the last one is smallest.
     """
+    if len(g.edges) > limit:
+        raise TooLarge(f"{len(g.edges)} edges exceed the partition search limit {limit}")
+    left_bit = {x: 1 << i for i, x in enumerate(g.left)}
+    right_bit = {y: 1 << i for i, y in enumerate(g.right)}
+    bits = [(left_bit[e.x], right_bit[e.y]) for e in g.edges]
+    shrink = cap is not None
+    if not shrink:
+        cap = len(bits) + 1
+    masks: list[tuple[int, int]] = []  # (left mask, right mask) of each part
+    assignment = []
 
-    def __init__(self, g: ColoredBipartiteGraph, limit: int):
-        if len(g.edges) > limit:
-            raise TooLarge(f"{len(g.edges)} edges exceed the partition search limit {limit}")
-        self.edges = [e.pair() for e in g.edges]
-        self.parts_left: list[set] = []
-        self.parts_right: list[set] = []
-        self.owner: dict = {}
-
-    def _try_place(self, x, y, j):
-        lefts, rights = self.parts_left[j], self.parts_right[j]
-        if x in lefts or y in rights:
-            return None
-        new_pairs = [(x, r) for r in rights] + [(l, y) for l in lefts] + [(x, y)]
-        claimed = []
-        for pair in new_pairs:
-            holder = self.owner.get(pair)
-            if holder is None:
-                self.owner[pair] = j
-                claimed.append(pair)
-            elif holder != j:
-                for c in claimed:
-                    del self.owner[c]
-                return None
-        lefts.add(x)
-        rights.add(y)
-        return claimed
-
-    def _undo(self, x, y, j, claimed):
-        self.parts_left[j].discard(x)
-        self.parts_right[j].discard(y)
-        for pair in claimed:
-            del self.owner[pair]
-
-    def partitions(self, cap=None):
-        """Yield each valid partition as a list of parts.
-
-        Without ``cap`` every valid partition comes out.  With one, only
-        partitions of fewer than ``cap`` parts are searched for, and each one
-        yielded lowers the cap to its own size, so the last one is smallest.
-        """
-        shrink = cap is not None
-        if not shrink:
-            cap = len(self.edges) + 1
-        assignment = []
-
-        def walk(index):
-            nonlocal cap
-            used = len(self.parts_left)
-            if used >= cap:
-                return
-            if index == len(self.edges):
-                if shrink:
-                    cap = used
-                parts = [[] for _ in range(used)]
-                for pos, j in enumerate(assignment):
-                    parts[j].append(self.edges[pos])
-                yield parts
-                return
-            x, y = self.edges[index]
-            for j in range(min(used + 1, cap)):
-                if j == used:
-                    self.parts_left.append(set())
-                    self.parts_right.append(set())
-                claimed = self._try_place(x, y, j)
-                if claimed is not None:
+    def walk(index):
+        nonlocal cap
+        used = len(masks)
+        if used >= cap:
+            return
+        if index == len(bits):
+            if shrink:
+                cap = used
+            parts = [[] for _ in range(used)]
+            for e, j in zip(g.edges, assignment):
+                parts[j].append(e.pair())
+            yield parts
+            return
+        bx, by = bits[index]
+        for j in range(min(used + 1, cap)):
+            if j == used:
+                masks.append((0, 0))
+            left, right = masks[j]
+            if not (left & bx or right & by):
+                grown_left, grown_right = left | bx, right | by
+                masks[j] = (0, 0)  # so that the scan skips part j itself
+                for other_left, other_right in masks:
+                    if grown_left & other_left and grown_right & other_right:
+                        break
+                else:
+                    masks[j] = (grown_left, grown_right)
                     assignment.append(j)
                     yield from walk(index + 1)
                     assignment.pop()
-                    self._undo(x, y, j, claimed)
-                if j == used:
-                    self.parts_left.pop()
-                    self.parts_right.pop()
+                masks[j] = (left, right)
+            if j == used:
+                masks.pop()
 
-        yield from walk(0)
+    yield from walk(0)
 
 
 def iter_valid_matching_partitions(g: ColoredBipartiteGraph, limit=PARTITION_SEARCH_LIMIT):
     """Yield every valid matching partition of the edge set (all-singletons
     is always among them)."""
-    yield from _PartitionSearch(g, limit).partitions()
+    yield from _partitions(g, limit)
 
 
 def min_valid_matching_partition(g: ColoredBipartiteGraph, limit=PARTITION_SEARCH_LIMIT) -> int:
     """Minimal number of parts over all valid matching partitions."""
-    search = _PartitionSearch(g, limit)
     k = len(g.edges)  # the all-singletons partition is always valid
-    for parts in search.partitions(cap=k):
+    for parts in _partitions(g, limit, cap=k):
         k = len(parts)
     return k
 
@@ -628,9 +602,9 @@ def bcc_dual_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
 
 
 def maximal_bicliques(g: ColoredBipartiteGraph) -> list[Biclique]:
-    """All maximal bicliques, via closures of neighborhood intersections:
-    a right-set T is an intent iff T equals the common neighborhood of
-    the left-set it supports."""
+    """All maximal bicliques.  Each right side (intent) is an intersection
+    of neighborhoods, so it is already the common neighborhood of the left
+    vertices that see all of it, and the biclique they span is maximal."""
     nbr = {x: set() for x in g.left}
     for e in g.edges:
         nbr[e.x].add(e.y)
@@ -638,19 +612,15 @@ def maximal_bicliques(g: ColoredBipartiteGraph) -> list[Biclique]:
     queue = [frozenset(nbr[x]) for x in g.left if nbr[x]]
     while queue:
         t = queue.pop()
-        if t in intents or not t:
+        if t in intents:
             continue
         intents.add(t)
         for x in g.left:
             cut = t & nbr[x]
             if cut and cut not in intents:
-                queue.append(frozenset(cut))
-    found = []
-    for t in intents:
-        support = [x for x in g.left if t <= nbr[x]]
-        closure = frozenset.intersection(*[frozenset(nbr[x]) for x in support])
-        if closure == t:
-            found.append(Biclique(tuple(sorted(support)), tuple(sorted(t))))
+                queue.append(cut)
+    found = [Biclique(tuple(sorted(x for x in g.left if t <= nbr[x])), tuple(sorted(t)))
+             for t in intents]
     return sorted(found, key=lambda b: (b.left, b.right))
 
 
@@ -684,27 +654,32 @@ def _root_lower_bound(g: ColoredBipartiteGraph) -> int:
 
 def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> list[Biclique]:
     """An optimal biclique cover by branch-and-bound set cover over the
-    maximal bicliques, branching on the least-covered edge (the first in
-    edge order among ties, so the answer does not depend on hashing)."""
+    maximal bicliques, each held as the int mask of its edges.  Bit order is
+    branching order (edges in the fewest bicliques first, then edge order),
+    so the pivot is the lowest uncovered bit and hashing plays no part."""
     if len(g.edges) > limit:
         raise TooLarge(f"{len(g.edges)} edges exceed the cover search limit {limit}")
     if not g.edges:
         return []
     cliques = maximal_bicliques(g)
-    cells = [frozenset(b.pairs()) for b in cliques]
-    universe = frozenset(e.pair() for e in g.edges)
+    holders = [[i for i, b in enumerate(cliques) if e.x in b.left and e.y in b.right]
+               for e in g.edges]
+    holders.sort(key=len)  # bit k's bicliques; a stable sort keeps edge order among ties
+    cells = [0] * len(cliques)
+    for bit, indices in enumerate(holders):
+        for i in indices:
+            cells[i] |= 1 << bit
 
     # greedy warm start
     best: list[int] = []
-    uncovered = set(universe)
+    uncovered = universe = (1 << len(holders)) - 1
     while uncovered:
-        i = max(range(len(cells)), key=lambda j: len(cells[j] & uncovered))
+        i = max(range(len(cells)), key=lambda j: (cells[j] & uncovered).bit_count())
         best.append(i)
-        uncovered -= cells[i]
+        uncovered &= ~cells[i]
     best_size = len(best)
     floor = _root_lower_bound(g)
-    biggest = max(len(c) for c in cells)
-    rank = {e.pair(): (sum(1 for c in cells if e.pair() in c), i) for i, e in enumerate(g.edges)}
+    biggest = max(c.bit_count() for c in cells)
 
     def walk(uncovered, chosen):
         nonlocal best, best_size
@@ -712,16 +687,15 @@ def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> li
             if len(chosen) < best_size:
                 best, best_size = list(chosen), len(chosen)
             return
-        if len(chosen) + math.ceil(len(uncovered) / biggest) >= best_size:
+        if len(chosen) + math.ceil(uncovered.bit_count() / biggest) >= best_size:
             return
-        pivot = min(uncovered, key=rank.__getitem__)
-        options = [i for i, c in enumerate(cells) if pivot in c]
-        options.sort(key=lambda i: -len(cells[i] & uncovered))
+        options = sorted(holders[(uncovered & -uncovered).bit_length() - 1],
+                         key=lambda i: -(cells[i] & uncovered).bit_count())
         for i in options:
             if best_size <= floor:
                 return
             chosen.append(i)
-            walk(uncovered - cells[i], chosen)
+            walk(uncovered & ~cells[i], chosen)
             chosen.pop()
 
     if best_size > floor:

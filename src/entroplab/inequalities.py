@@ -132,24 +132,17 @@ def entropy_split_gap(d: JointDistribution) -> GapReport:
     return GapReport("entropy-split", gap, terms)
 
 
-def _b_split_sum(d: JointDistribution, group) -> Fraction:
-    # sum over the fibres of ``group`` (which ends with B) and over their
-    # (x, y) cells of p(b,x) p(b,y) / p(b)
+def gamma_term(d: JointDistribution) -> ErrorTermCertificate:
+    """Exact certificate for the entropy-split error term."""
     tb = d.table("B")
     tbx = d.table(("B", "X"))
     tby = d.table(("B", "Y"))
     total = ZERO
-    for g, xs, ys in d.cells(group, "X", "Y"):
-        b = g[-1]
+    for (_, b), xs, ys in d.cells(("A", "B"), "X", "Y"):
         sum_x = sum(tbx[(b, x)] for (x,) in xs)
         sum_y = sum(tby[(b, y)] for (y,) in ys)
         total += sum_x * sum_y / tb[(b,)]
-    return total
-
-
-def gamma_term(d: JointDistribution) -> ErrorTermCertificate:
-    """Exact certificate for the entropy-split error term."""
-    return _certificate("gamma", _b_split_sum(d, ("A", "B")))
+    return _certificate("gamma", total)
 
 
 def delta_term(d: JointDistribution) -> ErrorTermCertificate:
@@ -232,13 +225,10 @@ def verify_lemma2(d: JointDistribution) -> Lemma2Certificate:
 
 @dataclass(frozen=True)
 class Theorem1Certificate:
-    """Entropy-split inequality under cond-2-C, with two exact proof routes.
+    """Entropy-split inequality under cond-2-C.
 
-    When the condition holds the verifier asserts the numeric gap, that the
-    gamma power sum is at most 1 exactly, and that the route sum
-    sum over (b,x,y) with p(b,x) > 0, p(b,y) > 0 of p(b,x) p(b,y) / p(b)
-    equals 1 exactly (cond-2-C injects the error-term index set into the
-    index set of that sum).
+    When the condition holds the verifier asserts the numeric gap and that
+    the gamma power sum is at most 1 exactly.
     """
 
     status: str
@@ -246,8 +236,6 @@ class Theorem1Certificate:
     gap: GapReport | None = None
     gamma: ErrorTermCertificate | None = None
     power_sum_at_most_one: bool | None = None
-    route_sum: Fraction | None = None
-    route_sum_is_one: bool | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -256,8 +244,6 @@ class Theorem1Certificate:
             "gap": self.gap.to_json_dict() if self.gap else None,
             "gamma": self.gamma.to_json_dict() if self.gamma else None,
             "power_sum_at_most_one": self.power_sum_at_most_one,
-            "route_sum": None if self.route_sum is None else str(self.route_sum),
-            "route_sum_is_one": self.route_sum_is_one,
         }
 
 
@@ -269,12 +255,8 @@ def verify_theorem1(d: JointDistribution) -> Theorem1Certificate:
     gap = entropy_split_gap(d)
     gamma = gamma_term(d)
     power_ok = gamma.power_sum <= 1
-    route = _b_split_sum(d, ("B",))
-    route_ok = route == 1
-    ok = gap.gap >= -TOLERANCE and power_ok and route_ok
-    return Theorem1Certificate(
-        PASS if ok else FAIL, condition, gap, gamma, power_ok, route, route_ok
-    )
+    ok = gap.gap >= -TOLERANCE and power_ok
+    return Theorem1Certificate(PASS if ok else FAIL, condition, gap, gamma, power_ok)
 
 
 @dataclass(frozen=True)

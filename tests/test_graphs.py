@@ -234,6 +234,31 @@ def test_min_partition_size_cap():
         min_valid_matching_partition(gen_gnk(6, 2))
 
 
+def _restricted_growth(n, prefix=()):
+    """Every restricted-growth string of length n, in lexicographic order."""
+    if len(prefix) == n:
+        yield prefix
+        return
+    for j in range(max(prefix, default=-1) + 2):
+        yield from _restricted_growth(n, prefix + (j,))
+
+
+def test_partition_enumeration_matches_brute_force():
+    # every set partition of the edges, filtered by the independent checker,
+    # in the order the walker visits them
+    rng = random.Random(67)
+    for _ in range(30):
+        g = random_graph(rng, max_side=4, max_edges=7)
+        pairs = [e.pair() for e in g.edges]
+        expected = []
+        for labels in _restricted_growth(len(pairs)):
+            parts = [[p for p, j in zip(pairs, labels) if j == k] for k in range(max(labels) + 1)]
+            if verify_matching_partition(g, parts).valid:
+                expected.append(parts)
+        assert list(iter_valid_matching_partitions(g)) == expected
+        assert min_valid_matching_partition(g) == min(len(parts) for parts in expected)
+
+
 def test_corollary_certificate_k22():
     g = k22()
     cert = corollary_bound_check(g, [[e.pair()] for e in g.edges])
@@ -385,6 +410,22 @@ def test_maximal_bicliques_match_brute_force():
                 closure = tuple(sorted(x for x in g.left if t <= nbr[x]))
                 expected.add((closure, tuple(sorted(t))))
         assert {(b.left, b.right) for b in maximal_bicliques(g)} == expected
+
+
+def test_exact_cover_matches_brute_force():
+    rng = random.Random(71)
+    for _ in range(30):
+        g = random_graph(rng, max_side=4, max_edges=10)
+        cliques = maximal_bicliques(g)
+        edges = {e.pair() for e in g.edges}
+        smallest = next(
+            r for r in range(1, len(cliques) + 1)
+            if any({pair for b in combo for pair in b.pairs()} == edges
+                   for combo in itertools.combinations(cliques, r))
+        )
+        cover = min_biclique_cover(g)
+        assert len(cover) == smallest
+        assert verify_biclique_cover(g, cover).holds
 
 
 def test_g21_exact_cover_is_two():

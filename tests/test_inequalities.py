@@ -217,18 +217,6 @@ def test_theorem1_passes_on_copied_bit():
     assert cert.gap.gap == pytest.approx(1.0, abs=TOL)
     assert cert.gamma.power_sum == Fraction(1, 2)
     assert cert.power_sum_at_most_one
-    assert cert.route_sum == Fraction(1)
-    assert cert.route_sum_is_one
-
-
-def test_theorem1_route_sum_is_always_one():
-    rng = random.Random(31)
-    for _ in range(200):
-        d = random_support_distribution(rng, ("A", "B", "X", "Y"), max_size=3)
-        cert = verify_theorem1(d)
-        if cert.status == NOT_APPLICABLE:
-            continue
-        assert cert.route_sum == Fraction(1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,7 +275,6 @@ def test_certificates_serialize():
     doc = cert.to_json_dict()
     assert doc["status"] == PASS
     assert doc["gamma"]["power_sum"] == "1/2"
-    assert doc["route_sum"] == "1"
     lemma = verify_lemma2(xor_triple()).to_json_dict()
     assert lemma["gamma"]["power_sum"] == "2"
     assert lemma["status"] == PASS
