@@ -213,7 +213,7 @@ def _cmd_info(args) -> CommandOutcome:
         terms["delta-prime"] = {"applicable": False, "witness": exc.witness}
     doc = {
         "variables": list(d.variables),
-        "atoms": len(d.atoms),
+        "atoms": len(d.counts),
         "fingerprint": d.fingerprint(),
         "measures": info_report(d).to_json_dict(),
         "conditions": conditions,
@@ -269,6 +269,8 @@ def _cmd_verify(args) -> CommandOutcome:
         return _document(cert.to_json_dict(), 0 if cert.status == PASS else 3)
     if token == "lemma3":
         seed = _require_flag(args.seed, "--seed")
+        if args.trials < 1:
+            raise LabError("BAD_PARAM", "--trials must be positive")
         try:
             audit = audit_lemma3(d, trials=args.trials, seed=seed)
         except PreconditionFailed as exc:
@@ -290,7 +292,7 @@ def _cmd_verify(args) -> CommandOutcome:
 def _sparse_sample(rng: random.Random):
     sizes = tuple(rng.randint(1, 3) for _ in range(4))
     d = sample_random_distribution(("A", "B", "X", "Y"), sizes, rng.randrange(SEED_SPAN))
-    outcomes = sorted(d.atoms)
+    outcomes = sorted(d.counts)
     keep = rng.randint(1, len(outcomes))
     return d.condition(rng.sample(outcomes, keep))
 

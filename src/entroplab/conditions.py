@@ -1,8 +1,9 @@
 """Witness-producing checkers for support and product conditions on joint
 distributions, plus consistency audits over their implications.
 
-All checks are decided exactly on the rational atom masses; no verdict in
-this module depends on floating point.  A failed check always carries the
+All checks are decided exactly on the integer counts of the marginal
+tables, each over its own denominator, by cross-multiplication; no verdict
+in this module depends on floating point.  A failed check always carries the
 lexicographically smallest violating tuple as its witness.
 
 Condition ids used in verdicts and by the CLI:
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .distributions import ZERO, JointDistribution, Outcome, _as_names
+from .distributions import JointDistribution, Outcome, _as_names
 from .errors import LabError, PreconditionFailed
 
 COND_INDEPENDENCE = "independence"
@@ -63,12 +64,15 @@ def check_independence(d: JointDistribution, first, second) -> Verdict:
     v = _as_names(second)
     if set(u) & set(v):
         raise LabError("OVERLAPPING_SETS", f"{u} and {v} overlap")
-    tu = d.table(u)
-    tv = d.table(v)
-    tuv = d.table(u + v)
+    tu, den_u = d._table(u)
+    tv, den_v = d._table(v)
+    tuv, den_uv = d._table(u + v)
+    # p(u,v) = p(u) p(v)  <=>  n(u,v) den_u den_v = n(u) n(v) den_uv
+    scale = den_u * den_v
     for cu in sorted(tu):
+        nu = tu[cu] * den_uv
         for cv in sorted(tv):
-            if tuv.get(cu + cv, ZERO) != tu[cu] * tv[cv]:
+            if tuv.get(cu + cv, 0) * scale != nu * tv[cv]:
                 witness = {name: val for name, val in zip(u + v, cu + cv)}
                 return Verdict(COND_INDEPENDENCE, False, witness)
     return Verdict(COND_INDEPENDENCE, True)
@@ -83,17 +87,23 @@ def check_ci_given(d: JointDistribution, first, second, given) -> Verdict:
     for s, t in ((x, y), (x, a), (y, a)):
         if set(s) & set(t):
             raise LabError("OVERLAPPING_SETS", f"{s} and {t} overlap")
-    ta = d.table(a)
-    tax = d.table(a + x)
-    tay = d.table(a + y)
-    taxy = d.table(a + x + y)
+    ta, den_a = d._table(a)
+    tax, den_ax = d._table(a + x)
+    tay, den_ay = d._table(a + y)
+    taxy, den_axy = d._table(a + x + y)
+    # Over integer counts both sides carry the other side's denominators:
+    # n(a,x) n(a,y) den_axy den_a = n(a,x,y) n(a) den_ax den_ay.
+    left = den_axy * den_a
+    right = den_ax * den_ay
     # Cells with p(a,x) = 0 or p(a,y) = 0 make both sides vanish (the right
     # side because p(a,x,y) <= p(a,x)), so only the joined support matters.
     for ca, xs, ys in d.cells(a, x, y):
+        na = ta[ca] * right
         for cx in xs:
+            nx = tax[ca + cx] * left
             for cy in ys:
-                lhs = tax[ca + cx] * tay[ca + cy]
-                rhs = taxy.get(ca + cx + cy, ZERO) * ta[ca]
+                lhs = nx * tay[ca + cy]
+                rhs = taxy.get(ca + cx + cy, 0) * na
                 if lhs != rhs:
                     witness = {name: val for name, val in zip(a + x + y, ca + cx + cy)}
                     return Verdict(COND_CI_GIVEN, False, witness)
@@ -119,7 +129,7 @@ def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verd
 def check_support_saturation(d: JointDistribution) -> Verdict:
     """cond-2-B: whenever a is possible with x and possible with y, the triple
     (a, x, y) itself has positive mass."""
-    taxy = d.table(("A", "X", "Y"))
+    taxy = d._table(("A", "X", "Y"))[0]
     for (a,), xs, ys in d.cells("A", "X", "Y"):
         for (x,) in xs:
             for (y,) in ys:
@@ -185,35 +195,41 @@ class PointwiseProductReport:
 def check_pointwise_product(d: JointDistribution) -> PointwiseProductReport:
     """Exact check of p(a,x) p(a,y) p(x,y) <= p(a) p(x) p(y) p(a,x,y) over the
     whole alphabet cube (absent masses read as zero)."""
-    ta = d.table(("A",))
-    tx = d.table(("X",))
-    ty = d.table(("Y",))
-    tax = d.table(("A", "X"))
-    tay = d.table(("A", "Y"))
-    txy = d.table(("X", "Y"))
-    taxy = d.table(("A", "X", "Y"))
+    ta, den_a = d._table(("A",))
+    tx, den_x = d._table(("X",))
+    ty, den_y = d._table(("Y",))
+    tax, den_ax = d._table(("A", "X"))
+    tay, den_ay = d._table(("A", "Y"))
+    txy, den_xy = d._table(("X", "Y"))
+    taxy, den_axy = d._table(("A", "X", "Y"))
+    # Over integer counts each side carries the other side's denominators:
+    # lhs = n(a,x) n(a,y) n(x,y) * left, rhs = n(a) n(x) n(y) n(a,x,y) * right.
+    left = den_a * den_x * den_y * den_axy
+    right = den_ax * den_ay * den_xy
     # Outside cells with p(a,x) > 0 and p(a,y) > 0 both sides vanish, so
-    # scanning those cells decides the inequality and the equality claim.
+    # scanning those cells, in lexicographic order, decides the inequality
+    # and the equality claim.  The largest ratio is kept as the pair
+    # (best_lhs, best_rhs) and compared by cross-multiplication.
     equality = True
     worst = None
-    max_ratio = ZERO
+    best_lhs, best_rhs = 0, 1
     argmax = None
     for (a,), xs, ys in d.cells("A", "X", "Y"):
+        na = ta[(a,)] * right
         for (x,) in xs:
+            lx = tax[(a, x)] * left
+            rx = na * tx[(x,)]
             for (y,) in ys:
-                lhs = tax[(a, x)] * tay[(a, y)] * txy.get((x, y), ZERO)
-                rhs = ta[(a,)] * tx[(x,)] * ty[(y,)] * taxy.get((a, x, y), ZERO)
+                lhs = lx * tay[(a, y)] * txy.get((x, y), 0)
+                rhs = rx * ty[(y,)] * taxy.get((a, x, y), 0)
                 if lhs != rhs:
                     equality = False
-                if lhs > rhs:
-                    candidate = (a, x, y)
-                    if worst is None or candidate < worst:
-                        worst = candidate
-                if rhs > 0:
-                    ratio = lhs / rhs
-                    if ratio > max_ratio:
-                        max_ratio = ratio
-                        argmax = {"a": a, "x": x, "y": y}
+                    if lhs > rhs and worst is None:
+                        worst = (a, x, y)
+                if rhs and lhs * best_rhs > best_lhs * rhs:
+                    best_lhs, best_rhs = lhs, rhs
+                    argmax = {"a": a, "x": x, "y": y}
+    max_ratio = Fraction(best_lhs, best_rhs)
     if worst is None:
         verdict = Verdict(COND_POINTWISE_PRODUCT, True)
     else:
@@ -309,7 +325,7 @@ def audit_lemma3(d: JointDistribution, trials: int, seed: int) -> Lemma3Audit:
             "distribution does not satisfy cond-2-C", base.witness
         )
     rng = random.Random(seed)
-    outcomes = sorted(d.atoms)
+    outcomes = sorted(d.counts)
     b_values = d.alphabet("B") if "B" in d.variables else []
     failures = []
     for trial in range(trials):

@@ -1,11 +1,16 @@
 """Exact finite joint distributions and Shannon information measures.
 
-Atom masses are ``fractions.Fraction`` throughout, and marginalization,
-conditioning, and the conditional-independence fork are closed over the
-rationals, so support predicates and product identities can be decided
-exactly.  Information measures are returned in bits (base-2 logarithm,
-double precision).  ``TOLERANCE`` is the absolute slack used wherever two
-floating-point quantities are compared.
+A distribution stores its atoms as positive integer ``counts`` over one
+``denominator``, in lowest terms, and caches each marginal table as
+integer counts over its own lowest-terms denominator.  Marginalization,
+conditioning and the conditional-independence fork stay exact on those
+integers, so support predicates and product identities are decided by
+integer cross-multiplication.  ``fractions.Fraction`` appears only at the
+edges: mass strings other than plain ``n/d``, the public ``atoms``,
+``table()`` and ``prob()`` views (made on each access, never cached), and
+the power-sum certificates.  Information measures are returned in bits
+(base-2 logarithm, double precision).  ``TOLERANCE`` is the absolute slack
+used wherever two floating-point quantities are compared.
 
 The JSON wire form is::
 
@@ -28,9 +33,13 @@ import hashlib
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from json.encoder import encode_basestring_ascii as _quote
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .errors import LabError
 
@@ -44,9 +53,7 @@ MISSING_ROLE_SYMBOL = "*"
 
 Symbol = str
 Outcome = tuple[Symbol, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Counts = dict[Outcome, int]
 
 
 def as_fraction(value: object) -> Fraction:
@@ -65,6 +72,61 @@ def as_fraction(value: object) -> Fraction:
     raise LabError("SCHEMA_ERROR", f"probability {value!r} must be a string or an integer")
 
 
+def _ratio(value: object) -> tuple[int, int]:
+    # (numerator, denominator) of a mass in lowest terms.  A plain ASCII
+    # "n/d" with d > 0 is split directly; everything else goes through
+    # Fraction, so the accepted strings and the errors are Fraction's.
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        if slash and num.isdigit() and den.isdigit() and num.isascii() and den.isascii():
+            num, den = int(num), int(den)
+            if den:
+                g = math.gcd(num, den)
+                return num // g, den // g
+    q = as_fraction(value)
+    return q.numerator, q.denominator
+
+
+def _gcd_all(first: int, values) -> int:
+    # gcd(first, *values).  A running gcd of big counts shrinks a few bits
+    # per step, each step a full big-number gcd; one gcd against a fixed
+    # combination of the values, checked by division, usually settles it.
+    g = math.gcd(first, sum([i * n for i, n in enumerate(values, 1)]))
+    if g == 1 or all(n % g == 0 for n in values):
+        return g
+    return math.gcd(g, *values)
+
+
+def _common(nums: Iterable[int], dens: list[int]) -> tuple[list[int], int]:
+    # The masses nums[i] / dens[i] as integer counts over the lcm of dens.
+    # With every mass in lowest terms the counts are too: for each prime
+    # the mass whose denominator holds its top power keeps an unscaled,
+    # coprime numerator.
+    distinct = set(dens)
+    lcm = math.lcm(*distinct)
+    scale = {den: lcm // den for den in distinct}
+    return [num * scale[den] for num, den in zip(nums, dens)], lcm
+
+
+def _plog2(count: int, den: int) -> float:
+    # p * log2(p) for p = count/den, the logs taken of p in lowest terms
+    g = math.gcd(count, den)
+    return count / den * (math.log2(count // g) - math.log2(den // g))
+
+
+def _mass_text(count: int, den: int) -> str:
+    # str(Fraction(count, den)), without making the Fraction
+    g = math.gcd(count, den)
+    return f"{count // g}/{den // g}" if den != g else str(count // g)
+
+
+def _inverses(counts: Counts) -> tuple[dict[Outcome, int], int]:
+    """``(L // n for each cell, L)`` with L the lcm of the counts: the
+    reciprocals 1/n of a table's counts as integers over one denominator."""
+    lcm = math.lcm(*counts.values())
+    return {key: lcm // n for key, n in counts.items()}, lcm
+
+
 def log2_fraction(q: Fraction) -> float:
     """log2 of a positive rational whose float sign agrees with the exact
     comparison of q against 1 (big numerators and denominators are taken
@@ -79,34 +141,56 @@ def log2_fraction(q: Fraction) -> float:
     return min(bits, -math.ulp(0.0))
 
 
-def _plog2(p: Fraction) -> float:
-    # p * log2(p) for 0 < p <= 1
-    return float(p) * (math.log2(p.numerator) - math.log2(p.denominator))
+class _Masses(Mapping):
+    """The atoms as a read-only mapping to Fractions, made on each access."""
+
+    __slots__ = ("_counts", "_den")
+
+    def __init__(self, counts: Counts, den: int):
+        self._counts = counts
+        self._den = den
+
+    def __getitem__(self, outcome) -> Fraction:
+        return Fraction(self._counts[outcome], self._den)
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
 
 
 class JointDistribution:
     """A tuple of named discrete variables with exact positive atom masses.
 
-    ``variables`` is the declared column order and ``atoms`` maps outcome
-    tuples (one symbol per variable, in that order) to positive Fractions
-    summing to exactly 1.  Zero-mass atoms are dropped at construction, so
-    the support is always the atom set itself.  Instances are immutable by
-    convention: no method mutates ``atoms``, derived marginal tables are
-    cached internally.
+    ``variables`` is the declared column order.  ``counts`` maps outcome
+    tuples (one symbol per variable, in that order) to positive integers
+    over ``denominator``, in lowest terms, summing to it exactly; the
+    ``atoms`` property is the same map with Fraction masses.  The
+    constructor's ``atoms`` argument maps outcomes to masses (Fractions,
+    ints or strings) or, when ``denominator`` is given, to integer counts
+    over it.  Zero-mass atoms are dropped at construction, so the support
+    is always the atom set itself.  Instances are immutable by convention:
+    no method mutates ``counts``, derived marginal tables are cached
+    internally.
     """
 
-    __slots__ = ("variables", "atoms", "_tables")
+    __slots__ = ("variables", "counts", "denominator", "_tables", "_entropies")
 
-    def __init__(self, variables: Iterable[str], atoms):
+    def __init__(self, variables: Iterable[str], atoms, denominator: int | None = None):
         variables = tuple(variables)
         if any(not isinstance(v, str) or not v for v in variables):
             raise LabError("SCHEMA_ERROR", "variable names must be non-empty strings")
         if len(set(variables)) != len(variables):
             raise LabError("SCHEMA_ERROR", f"duplicate variable names in {variables}")
+        # Masses in lowest terms give counts in lowest terms (see _common);
+        # counts over a given denominator are reduced at the end.
+        lowest = denominator is None
+        if not lowest and (type(denominator) is not int or denominator < 1):
+            raise LabError("SCHEMA_ERROR", f"denominator {denominator!r} must be positive")
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        clean: dict[Outcome, Fraction] = {}
-        seen: set[Outcome] = set()
-        total = ZERO
+        counts: Counts = {}
+        dens: list[int] = []
         for outcome, mass in items:
             outcome = tuple(outcome)
             if len(outcome) != len(variables):
@@ -114,22 +198,38 @@ class JointDistribution:
                     "SCHEMA_ERROR",
                     f"outcome {outcome} does not match variables {variables}",
                 )
-            if any(not isinstance(s, str) for s in outcome):
-                raise LabError("SCHEMA_ERROR", f"symbols must be strings in {outcome}")
-            if outcome in seen:
+            try:
+                "".join(outcome)  # a TypeError unless every symbol is a string
+            except TypeError:
+                raise LabError("SCHEMA_ERROR", f"symbols must be strings in {outcome}") from None
+            if outcome in counts:
                 raise LabError("DUPLICATE_ATOM", f"atom {outcome} listed twice")
-            seen.add(outcome)
-            mass = as_fraction(mass)
-            if mass < 0:
-                raise LabError("NEGATIVE_PROB", f"atom {outcome} has mass {mass}")
-            total += mass
-            if mass > 0:
-                clean[outcome] = mass
-        if total != 1:
-            raise LabError("SUM_NOT_ONE", f"atom masses sum to {total}, not 1")
+            if lowest:
+                num, den = _ratio(mass)
+                dens.append(den)
+            elif type(mass) is int:
+                num, den = mass, denominator
+            else:
+                raise LabError("SCHEMA_ERROR", f"count {mass!r} of {outcome} is not an integer")
+            if num < 0:
+                raise LabError("NEGATIVE_PROB", f"atom {outcome} has mass {Fraction(num, den)}")
+            counts[outcome] = num
+        if lowest:
+            values, denominator = _common(counts.values(), dens)
+            counts = dict(zip(counts, values))
+        total = sum(counts.values())
+        if total != denominator:
+            raise LabError(
+                "SUM_NOT_ONE", f"atom masses sum to {Fraction(total, denominator)}, not 1"
+            )
+        g = 1 if lowest else _gcd_all(denominator, counts.values())
+        if g > 1 or 0 in counts.values():
+            counts = {outcome: n // g for outcome, n in counts.items() if n}
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "atoms", clean)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "denominator", denominator // g)
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_entropies", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("JointDistribution is immutable")
@@ -138,13 +238,19 @@ class JointDistribution:
         return (
             isinstance(other, JointDistribution)
             and self.variables == other.variables
-            and self.atoms == other.atoms
+            and self.denominator == other.denominator
+            and self.counts == other.counts
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"JointDistribution(variables={self.variables}, atoms={len(self.atoms)})"
+        return f"JointDistribution(variables={self.variables}, atoms={len(self.counts)})"
+
+    @property
+    def atoms(self) -> Mapping[Outcome, Fraction]:
+        """The atom masses as Fractions, made on access; not for hot paths."""
+        return _Masses(self.counts, self.denominator)
 
     # ------------------------------------------------------------------
     # variable handling
@@ -161,34 +267,59 @@ class JointDistribution:
                 ) from None
         return tuple(cols)
 
-    def table(self, variables: Iterable[str] | str = ()) -> dict[Outcome, Fraction]:
-        """Exact marginal table over the given variables (empty tuple allowed,
-        yielding the trivial table).  A canonical role the distribution lacks
-        reads as a constant ``"*"`` column; any other unknown name raises
-        UNKNOWN_VARIABLE.  The result is cached; treat it as read-only."""
+    def _table(self, variables: Iterable[str] | str) -> tuple[Counts, int]:
+        """The marginal over ``variables`` as ``(counts, denominator)``, the
+        counts integers over the table's own lowest-terms denominator.
+        Cached; treat it as read-only.  See ``table`` for the key order and
+        for missing roles."""
         names = _as_names(variables)
         cached = self._tables.get(names)
         if cached is not None:
             return cached
-        wanted = set(names).intersection(self.variables)
-        if not wanted.union(ROLE_ORDER).issuperset(names):
-            self._columns(names)  # raises UNKNOWN_VARIABLE
-        # Marginalize the smallest known table holding every requested column
-        # (the atoms at worst).  Whatever the source, keys come out in order
-        # of first occurrence among the atoms, so every float sum over a
-        # table runs in one order.
-        source_names, source = self.variables, self.atoms
-        for known, candidate in self._tables.items():
-            if len(candidate) < len(source) and wanted.issubset(known):
-                source_names, source = known, candidate
-        cols = [source_names.index(n) if n in source_names else None for n in names]
-        out: dict[Outcome, Fraction] = {}
-        for outcome, mass in source.items():
-            key = tuple(MISSING_ROLE_SYMBOL if c is None else outcome[c] for c in cols)
-            prev = out.get(key)
-            out[key] = mass if prev is None else prev + mass
-        self._tables[names] = out
-        return out
+        present = tuple(n for n in names if n in self.variables)
+        if present != names:
+            if not set(names).issubset(ROLE_ORDER + self.variables):
+                self._columns(names)  # raises UNKNOWN_VARIABLE
+            # A missing role is a constant column: group by the known
+            # columns, then insert the constant symbol into every key.
+            counts, den = self._table(present)
+            spots = [present.index(n) if n in present else None for n in names]
+            counts = {
+                tuple(MISSING_ROLE_SYMBOL if s is None else key[s] for s in spots): n
+                for key, n in counts.items()
+            }
+        elif names == self.variables:
+            counts, den = self.counts, self.denominator
+        else:
+            # Marginalize the smallest known table holding every requested
+            # column (the atoms at worst).  Whatever the source, keys come
+            # out in order of first occurrence among the atoms, so every
+            # float sum over a table runs in one order.
+            wanted = set(names)
+            source_names, source, den = self.variables, self.counts, self.denominator
+            for known, (candidate, candidate_den) in self._tables.items():
+                if len(candidate) < len(source) and wanted.issubset(known):
+                    source_names, source, den = known, candidate, candidate_den
+            columns = [map(itemgetter(source_names.index(n)), source) for n in names]
+            counts = {}
+            get = counts.get
+            for key, n in zip(zip(*columns) if columns else repeat(()), source.values()):
+                counts[key] = get(key, 0) + n
+            g = _gcd_all(den, counts.values())
+            if g > 1:
+                counts = {key: n // g for key, n in counts.items()}
+                den //= g
+        self._tables[names] = (counts, den)
+        return counts, den
+
+    def table(self, variables: Iterable[str] | str = ()) -> dict[Outcome, Fraction]:
+        """Exact marginal table over the given variables (empty tuple allowed,
+        yielding the trivial table), as Fractions made afresh on each call.
+        A canonical role the distribution lacks reads as a constant ``"*"``
+        column; any other unknown name raises UNKNOWN_VARIABLE.  Keys come in
+        order of first occurrence among the atoms."""
+        counts, den = self._table(variables)
+        return {key: Fraction(n, den) for key, n in counts.items()}
 
     def fibres(self, group, rest) -> dict[Outcome, list[Outcome]]:
         """The support of ``table(group + rest)`` split by its ``group`` part:
@@ -196,11 +327,12 @@ class JointDistribution:
         occurs with.  Built afresh from the cached table on every call: kept,
         the map of a fine grouping would cost as much memory as the table."""
         group = _as_names(group)
-        out: dict[Outcome, list[Outcome]] = {}
         width = len(group)
-        for key in sorted(self.table(group + _as_names(rest))):
-            out.setdefault(key[:width], []).append(key[width:])
-        return out
+        keys = sorted(self._table(group + _as_names(rest))[0])
+        return {
+            cell: [key[width:] for key in run]
+            for cell, run in groupby(keys, itemgetter(slice(width)))
+        }
 
     def cells(self, group, first, second) -> Iterator[tuple[Outcome, list[Outcome], list[Outcome]]]:
         """Yield ``(g, xs, ys)`` for every group cell g of positive mass, in
@@ -213,12 +345,13 @@ class JointDistribution:
 
     def alphabet(self, variable: str) -> list[Symbol]:
         """Sorted support values of one variable."""
-        return sorted(k[0] for k in self.table((variable,)))
+        return sorted(k[0] for k in self._table((variable,))[0])
 
     def prob(self, assignment: Mapping[str, Symbol]) -> Fraction:
         """Exact marginal probability of a partial assignment."""
         names = tuple(sorted(assignment))
-        return self.table(names).get(tuple(assignment[n] for n in names), ZERO)
+        counts, den = self._table(names)
+        return Fraction(counts.get(tuple(assignment[n] for n in names), 0), den)
 
     # ------------------------------------------------------------------
     # core operations
@@ -230,7 +363,7 @@ class JointDistribution:
             raise LabError("SCHEMA_ERROR", "marginal requires at least one variable")
         if len(set(names)) != len(names):
             raise LabError("OVERLAPPING_SETS", f"repeated variable in {names}")
-        return JointDistribution(names, self.table(names))
+        return JointDistribution(names, *self._table(names))
 
     def condition(self, event) -> "JointDistribution":
         """Condition on a positive-mass event and renormalize exactly.
@@ -250,7 +383,7 @@ class JointDistribution:
                     allowed.append(set(value))
             retained = {
                 outcome
-                for outcome in self.atoms
+                for outcome in self.counts
                 if all(outcome[c] in vals for c, vals in zip(cols, allowed))
             }
         else:
@@ -260,28 +393,36 @@ class JointDistribution:
                 if len(outcome) != len(self.variables):
                     raise LabError("SCHEMA_ERROR", f"event outcome {outcome} malformed")
                 retained.add(outcome)
-        mass = sum((self.atoms[o] for o in retained if o in self.atoms), ZERO)
+        # p(o) / p(event) is the count of o over the event's count
+        counts = {o: n for o, n in self.counts.items() if o in retained}
+        mass = sum(counts.values())
         if mass == 0:
             raise LabError("ZERO_MASS_EVENT", "conditioning event has zero mass")
-        atoms = {o: self.atoms[o] / mass for o in self.atoms if o in retained}
-        return JointDistribution(self.variables, atoms)
+        return JointDistribution(self.variables, counts, mass)
 
     def rename_symbols(self, variable: str, mapping: Mapping[Symbol, Symbol]) -> "JointDistribution":
         (col,) = self._columns((variable,))
-        atoms = {
-            outcome[:col] + (mapping.get(outcome[col], outcome[col]),) + outcome[col + 1 :]: mass
-            for outcome, mass in self.atoms.items()
+        counts = {
+            outcome[:col] + (mapping.get(outcome[col], outcome[col]),) + outcome[col + 1 :]: n
+            for outcome, n in self.counts.items()
         }
-        return JointDistribution(self.variables, atoms)
+        return JointDistribution(self.variables, counts, self.denominator)
 
     # ------------------------------------------------------------------
     # information measures (bits)
 
     def entropy(self, variables: Iterable[str] | str = ()) -> float:
-        """Shannon entropy of the marginal over ``variables`` (empty set gives 0)."""
+        """Shannon entropy of the marginal over ``variables`` (empty set gives 0).
+        Cached per variable tuple, like the table it sums."""
         names = _as_names(variables)
-        # + 0.0 turns the IEEE -0.0 of deterministic marginals into plain 0.0
-        return -sum(_plog2(p) for p in self.table(names).values()) + 0.0
+        cached = self._entropies.get(names)
+        if cached is None:
+            counts, den = self._table(names)
+            # one p log2 p per distinct count, summed in table order
+            plog2 = {n: _plog2(n, den) for n in set(counts.values())}
+            # + 0.0 turns the IEEE -0.0 of deterministic marginals into plain 0.0
+            cached = self._entropies[names] = -sum([plog2[n] for n in counts.values()]) + 0.0
+        return cached
 
     def cond_entropy(self, variables, given) -> float:
         """H(variables | given) = H(variables, given) - H(given)."""
@@ -317,20 +458,38 @@ class JointDistribution:
     # serialization
 
     def to_json_dict(self) -> dict:
+        den = self.denominator
         return {
             "variables": list(self.variables),
             "atoms": [
                 {
                     "values": {v: s for v, s in zip(self.variables, outcome)},
-                    "p": str(mass),
+                    "p": _mass_text(n, den),
                 }
-                for outcome, mass in sorted(self.atoms.items())
+                for outcome, n in sorted(self.counts.items())
             ],
         }
 
     def dumps(self) -> str:
-        """Canonical JSON emission, stable byte for byte."""
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """Canonical JSON emission, stable byte for byte: the bytes of
+        ``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written
+        directly."""
+        names = [_quote(v) for v in self.variables]
+        if names:
+            variables = "[\n" + ",\n".join(["    " + name for name in names]) + "\n  ]"
+            values = ",\n".join([f"        {name.replace('%', '%%')}: %s" for name in names])
+            values = "{\n" + values + "\n      }"
+        else:
+            variables, values = "[]", "{}"
+        # one %-template per atom row: the quoted symbols, then the mass
+        row = '    {\n      "values": ' + values + ',\n      "p": "%s"\n    }'
+        den = self.denominator
+        rows = [
+            row % (*map(_quote, outcome), _mass_text(n, den))
+            for outcome, n in sorted(self.counts.items())
+        ]
+        atoms = ",\n".join(rows)
+        return '{\n  "variables": ' + variables + ',\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
 
     def fingerprint(self) -> str:
         """Short content hash of the canonical emission."""
@@ -376,29 +535,37 @@ def load_distribution(doc) -> JointDistribution:
     names = tuple(variables)
     if any(not isinstance(v, str) for v in names):
         raise LabError("SCHEMA_ERROR", "variable names must be strings")
-    pairs = []
-    dropped = 0
+    name_set = set(names)
+    row_keys = {"values", "p"}
+    outcomes = []
+    nums = []
+    dens = []
     for row in rows:
-        if not isinstance(row, dict) or set(row) != {"values", "p"}:
+        if not isinstance(row, dict) or row.keys() != row_keys:
             raise LabError("SCHEMA_ERROR", f"malformed atom row {row!r}")
         values = row["values"]
-        if not isinstance(values, dict) or set(values) != set(names):
+        if not isinstance(values, dict) or values.keys() != name_set:
             raise LabError(
                 "SCHEMA_ERROR",
                 f"atom values {values!r} do not cover variables {list(names)}",
             )
-        if any(not isinstance(s, str) for s in values.values()):
-            raise LabError("SCHEMA_ERROR", f"symbols must be strings in {values!r}")
+        outcome = tuple(map(values.__getitem__, names))
+        try:
+            "".join(outcome)  # a TypeError unless every symbol is a string
+        except TypeError:
+            raise LabError("SCHEMA_ERROR", f"symbols must be strings in {values!r}") from None
         mass = row["p"]
         if isinstance(mass, float):
             raise LabError("SCHEMA_ERROR", "probabilities must be strings or integers")
-        mass = as_fraction(mass)
-        if mass == 0:
-            dropped += 1
-        pairs.append((tuple(values[n] for n in names), mass))
+        num, den = _ratio(mass)
+        outcomes.append(outcome)
+        nums.append(num)
+        dens.append(den)
+    dropped = nums.count(0)
     if dropped:
         warnings.warn(f"dropped {dropped} zero-mass atoms", stacklevel=2)
-    return JointDistribution(names, pairs)
+    counts, denominator = _common(nums, dens)
+    return JointDistribution(names, zip(outcomes, counts), denominator)
 
 
 def build_markov_fork(d: JointDistribution) -> JointDistribution:
@@ -416,19 +583,23 @@ def build_markov_fork(d: JointDistribution) -> JointDistribution:
             f"fork needs variables A, X, Y and optionally B, got {d.variables}",
         )
     group = ("A", "B") if "B" in d.variables else ("A",)
-    gx = d.table(group + ("X",))
-    gy = d.table(group + ("Y",))
-    gg = d.table(group)
+    gx, den_x = d._table(group + ("X",))
+    gy, den_y = d._table(group + ("Y",))
+    gg, den_g = d._table(group)
+    # p(g,x) p(g,y) / p(g) = n(g,x) n(g,y) den_g (L / n(g)) / (den_x den_y L)
+    inverse, lcm = _inverses(gg)
     places = [d.variables.index(name) for name in group + ("X", "Y")]
-    atoms: dict[Outcome, Fraction] = {}
+    counts: Counts = {}
     for g, xs, ys in d.cells(group, "X", "Y"):
+        factor = inverse[g] * den_g
         for x in xs:
+            nx = gx[g + x] * factor
             for y in ys:
                 outcome = [None] * len(places)
                 for place, value in zip(places, g + x + y):
                     outcome[place] = value
-                atoms[tuple(outcome)] = gx[g + x] * gy[g + y] / gg[g]
-    return JointDistribution(d.variables, atoms)
+                counts[tuple(outcome)] = nx * gy[g + y]
+    return JointDistribution(d.variables, counts, den_x * den_y * lcm)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 
 from .conditions import check_unique_common_value
-from .distributions import JointDistribution, _insert_by_role, as_fraction, log2_fraction
+from .distributions import JointDistribution, _common, _insert_by_role, as_fraction, log2_fraction
 from .errors import LabError, TooLarge
 
 ATOM_BUDGET = 10**6
@@ -77,13 +77,12 @@ def gen_distinct_pairs(n: int) -> JointDistribution:
     unordered pair, so A determines {X, Y} but not which is which."""
     if not isinstance(n, int) or n < 2:
         raise LabError("BAD_PARAM", f"distinct-pairs needs an integer n >= 2, got {n!r}")
-    mass = Fraction(1, n * (n - 1))
     atoms = {}
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             if x != y:
-                atoms[(_set_label((x, y)), str(x), str(y))] = mass
-    return JointDistribution(("A", "X", "Y"), atoms)
+                atoms[(_set_label((x, y)), str(x), str(y))] = 1
+    return JointDistribution(("A", "X", "Y"), atoms, n * (n - 1))
 
 
 def gen_disjoint_sets(n: int, k: int) -> JointDistribution:
@@ -102,14 +101,13 @@ def gen_disjoint_sets(n: int, k: int) -> JointDistribution:
             f"disjoint-sets ({n},{k}) would enumerate {count} atoms;"
             " use disjoint_sets_split_gap for the closed form"
         )
-    mass = Fraction(1, count)
     universe = range(1, n + 1)
     atoms = {}
     for xs in itertools.combinations(universe, k):
         rest = [i for i in universe if i not in xs]
         for ys in itertools.combinations(rest, k):
-            atoms[(_set_label(xs + ys), _set_label(xs), _set_label(ys))] = mass
-    return JointDistribution(("A", "X", "Y"), atoms)
+            atoms[(_set_label(xs + ys), _set_label(xs), _set_label(ys))] = 1
+    return JointDistribution(("A", "X", "Y"), atoms, count)
 
 
 def disjoint_sets_split_gap(n: int, k: int) -> float:
@@ -152,7 +150,9 @@ def gen_field_lines(k_exp: int, delta) -> JointDistribution:
     # position-based balanced labelings of F' = [0, half) and F'' = [half, q)
     chi1 = {t: (1 if t < half // 2 else -1) for t in range(half)}
     chi2 = {t: (1 if t - half < half // 2 else -1) for t in range(half, q)}
-    base = Fraction(1, q * q * half * half)
+    # p = (1 + delta * chi' * chi'') / (q^2 (q/2)^2), as integer counts over
+    # delta's denominator times q^2 (q/2)^2
+    u, v = delta.numerator, delta.denominator
     atoms = {}
     for a0 in range(q):
         for a1 in range(q):
@@ -162,16 +162,13 @@ def gen_field_lines(k_exp: int, delta) -> JointDistribution:
                 x = f"({t1},{points[t1]})"
                 for t2 in range(half, q):
                     y = f"({t2},{points[t2]})"
-                    p = (1 + delta * chi1[t1] * chi2[t2]) * base
-                    atoms[(line, x, y)] = p
-    return JointDistribution(("A", "X", "Y"), atoms)
+                    atoms[(line, x, y)] = v + u * chi1[t1] * chi2[t2]
+    return JointDistribution(("A", "X", "Y"), atoms, v * q * q * half * half)
 
 
-def _normalized_masses(rng: random.Random, count: int) -> list[Fraction]:
+def _numerators(rng: random.Random, count: int) -> list[int]:
     lo, hi = NUMERATOR_RANGE
-    numerators = [rng.randint(lo, hi) for _ in range(count)]
-    total = sum(numerators)
-    return [Fraction(num, total) for num in numerators]
+    return [rng.randint(lo, hi) for _ in range(count)]
 
 
 def sample_random_distribution(variables, sizes, seed: int) -> JointDistribution:
@@ -188,8 +185,8 @@ def sample_random_distribution(variables, sizes, seed: int) -> JointDistribution
         raise LabError("BAD_PARAM", f"{count} atoms exceed the sampler budget")
     rng = random.Random(seed)
     outcomes = list(itertools.product(*[[str(v) for v in range(s)] for s in sizes]))
-    masses = _normalized_masses(rng, count)
-    return JointDistribution(variables, dict(zip(outcomes, masses)))
+    numerators = _numerators(rng, count)
+    return JointDistribution(variables, dict(zip(outcomes, numerators)), sum(numerators))
 
 
 def sample_cond2c(seed: int, sizes) -> JointDistribution:
@@ -234,8 +231,9 @@ def sample_cond2c(seed: int, sizes) -> JointDistribution:
         if not support:
             a, x, y = assigned[0]
             support = [(a, bs[0], x, y)]
-        masses = _normalized_masses(rng, len(support))
-        d = JointDistribution(("A", "B", "X", "Y"), dict(zip(support, masses)))
+        numerators = _numerators(rng, len(support))
+        atoms = dict(zip(support, numerators))
+        d = JointDistribution(("A", "B", "X", "Y"), atoms, sum(numerators))
         if check_unique_common_value(d).holds:
             return d
     raise LabError("RETRY_EXHAUSTED", f"no admissible support after 20 attempts (seed {seed})")
@@ -252,9 +250,17 @@ def extend_with_random_B(d: JointDistribution, b_size: int, seed: int) -> JointD
     rng = random.Random(seed)
     variables = _insert_by_role(d.variables, "B")
     at = variables.index("B")
-    atoms = {}
-    for outcome in sorted(d.atoms):
-        p = d.atoms[outcome]
-        for i, weight in enumerate(_normalized_masses(rng, b_size)):
-            atoms[outcome[:at] + (str(i),) + outcome[at:]] = p * weight
-    return JointDistribution(variables, atoms)
+    # Atom o of count n splits into masses n w_i / (den * sum of the w),
+    # each put in lowest terms while its integers are small, so that their
+    # lcm is the lowest-terms denominator of the result.
+    outcomes, nums, dens = [], [], []
+    for outcome in sorted(d.counts):
+        weights = _numerators(rng, b_size)
+        n, den = d.counts[outcome], d.denominator * sum(weights)
+        for i, weight in enumerate(weights):
+            g = math.gcd(n * weight, den)
+            outcomes.append(outcome[:at] + (str(i),) + outcome[at:])
+            nums.append(n * weight // g)
+            dens.append(den // g)
+    counts, den = _common(nums, dens)
+    return JointDistribution(variables, dict(zip(outcomes, counts)), den)

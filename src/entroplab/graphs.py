@@ -259,11 +259,10 @@ def edge_distribution(g: ColoredBipartiteGraph) -> JointDistribution:
     X and Y the endpoints.  A is a function of (X, Y), so H(A|X,Y) = 0."""
     if not g.edges:
         raise LabError("EMPTY_GRAPH", "no edges to draw from")
-    uniform = Fraction(1, len(g.edges))
-    atoms = {}
-    for e in g.edges:
-        atoms[(e.color, e.x, e.y)] = e.weight if e.weight is not None else uniform
-    return JointDistribution(("A", "X", "Y"), atoms)
+    if g.edges[0].weight is None:
+        atoms = {(e.color, e.x, e.y): 1 for e in g.edges}
+        return JointDistribution(("A", "X", "Y"), atoms, len(g.edges))
+    return JointDistribution(("A", "X", "Y"), {(e.color, e.x, e.y): e.weight for e in g.edges})
 
 
 # ---------------------------------------------------------------------------
@@ -759,14 +758,15 @@ def extend_with_cover_index(g: ColoredBipartiteGraph, cover) -> ZExtensionReport
     for i, b in enumerate(cover):
         for pair in b.pairs():
             members[pair].append(str(i))
+    # an edge atom of count n splits into shares n / k over the lcm of the k
+    splits = [len(members[e.pair()]) for e in g.edges]
+    lcm = math.lcm(*splits)
     atoms = {}
-    for e in g.edges:
-        p = d.prob({"A": e.color, "X": e.x, "Y": e.y})
-        indices = members[e.pair()]
-        share = p / len(indices)
-        for z in indices:
+    for e, k in zip(g.edges, splits):
+        share = d.counts[(e.color, e.x, e.y)] * (lcm // k)
+        for z in members[e.pair()]:
             atoms[(e.color, e.x, e.y, z)] = share
-    ext = JointDistribution(("A", "X", "Y", "Z"), atoms)
+    ext = JointDistribution(("A", "X", "Y", "Z"), atoms, d.denominator * lcm)
     slack = (
         ext.cond_entropy("A", "Z")
         - ext.cond_entropy("A", ("X", "Z"))

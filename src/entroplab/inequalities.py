@@ -21,8 +21,12 @@ quadruples (a, b, x, y) with p(a,b,x) > 0 and p(a,b,y) > 0:
 
 Within one (a, b) fibre the gamma and delta summands are a product of a
 factor in x and a factor in y, so each fibre contributes
-(sum over x) * (sum over y), exactly.  A missing B column reads as a
-constant variable throughout (see ``JointDistribution.table``).
+(sum over x) * (sum over y), exactly.  The sums run on the integer counts
+of the marginal tables: each reciprocal 1/p is carried as an integer over
+the lcm of its table's counts, the constant denominators are factored out,
+and the power sum becomes a Fraction, in lowest terms, only at the end.  A
+missing B column reads as a constant variable throughout (see
+``JointDistribution.table``).
 
 Verifier statuses: PASS (hypothesis holds and every assertion checks out),
 NOT_APPLICABLE (the hypothesis fails, with a witness), and FAIL, which
@@ -44,8 +48,8 @@ from .conditions import (
 )
 from .distributions import (
     TOLERANCE,
-    ZERO,
     JointDistribution,
+    _inverses,
     log2_fraction,
 )
 from .errors import LabError, PreconditionFailed
@@ -134,33 +138,41 @@ def entropy_split_gap(d: JointDistribution) -> GapReport:
 
 def gamma_term(d: JointDistribution) -> ErrorTermCertificate:
     """Exact certificate for the entropy-split error term."""
-    tb = d.table("B")
-    tbx = d.table(("B", "X"))
-    tby = d.table(("B", "Y"))
-    total = ZERO
+    tb, den_b = d._table("B")
+    tbx, den_bx = d._table(("B", "X"))
+    tby, den_by = d._table(("B", "Y"))
+    inv_b, lcm_b = _inverses(tb)
+    # p(b,x) p(b,y) / p(b) = n(b,x) n(b,y) (lcm_b / n(b)) * den_b / (den_bx den_by lcm_b)
+    total = 0
     for (_, b), xs, ys in d.cells(("A", "B"), "X", "Y"):
         sum_x = sum(tbx[(b, x)] for (x,) in xs)
         sum_y = sum(tby[(b, y)] for (y,) in ys)
-        total += sum_x * sum_y / tb[(b,)]
-    return _certificate("gamma", total)
+        total += sum_x * sum_y * inv_b[(b,)]
+    return _certificate("gamma", Fraction(total * den_b, den_bx * den_by * lcm_b))
 
 
 def delta_term(d: JointDistribution) -> ErrorTermCertificate:
     """Exact certificate for the reduced-Ingleton error term."""
-    ta = d.table("A")
-    tb = d.table("B")
-    tx = d.table("X")
-    ty = d.table("Y")
-    tax = d.table(("A", "X"))
-    tay = d.table(("A", "Y"))
-    tbx = d.table(("B", "X"))
-    tby = d.table(("B", "Y"))
-    total = ZERO
+    ta, den_a = d._table("A")
+    tb, den_b = d._table("B")
+    tx, den_x = d._table("X")
+    ty, den_y = d._table("Y")
+    tax, den_ax = d._table(("A", "X"))
+    tay, den_ay = d._table(("A", "Y"))
+    tbx, den_bx = d._table(("B", "X"))
+    tby, den_by = d._table(("B", "Y"))
+    inv_a, lcm_a = _inverses(ta)
+    inv_b, lcm_b = _inverses(tb)
+    inv_x, lcm_x = _inverses(tx)
+    inv_y, lcm_y = _inverses(ty)
+    total = 0
     for (a, b), xs, ys in d.cells(("A", "B"), "X", "Y"):
-        sum_x = sum(tax[(a, x)] * tbx[(b, x)] / tx[(x,)] for (x,) in xs)
-        sum_y = sum(tay[(a, y)] * tby[(b, y)] / ty[(y,)] for (y,) in ys)
-        total += sum_x * sum_y / (ta[(a,)] * tb[(b,)])
-    return _certificate("delta", total)
+        sum_x = sum(tax[(a, x)] * tbx[(b, x)] * inv_x[(x,)] for (x,) in xs)
+        sum_y = sum(tay[(a, y)] * tby[(b, y)] * inv_y[(y,)] for (y,) in ys)
+        total += sum_x * sum_y * inv_a[(a,)] * inv_b[(b,)]
+    num = total * den_a * den_b * den_x * den_y
+    den = den_ax * den_bx * lcm_x * den_ay * den_by * lcm_y * lcm_a * lcm_b
+    return _certificate("delta", Fraction(num, den))
 
 
 def delta_prime_term(d: JointDistribution) -> ErrorTermCertificate:

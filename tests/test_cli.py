@@ -8,7 +8,7 @@ import pytest
 
 from entroplab.cli import run
 from entroplab.distributions import JointDistribution, load_distribution
-from entroplab.families import gen_distinct_pairs
+from entroplab.families import gen_distinct_pairs, sample_cond2c
 from entroplab.graphs import dump_cover, gen_gnk, min_biclique_cover
 
 from conftest import pairs_triple, xor_triple
@@ -412,6 +412,10 @@ def test_malformed_file_exits_two(tmp_path):
         (("graph", "min-partition", "--graph", "@g", "--limit", "-1"), {}, {}, "BAD_PARAM"),
         (("graph", "bcc", "--graph", "@g", "--method", "exact"),
          {}, {"ENTROPLAB_LIMIT": "-5"}, "BAD_PARAM"),
+        (("verify", "--dist", "@d", "--theorem", "lemma3", "--trials", "-3", "--seed", "1"),
+         {"d": sample_cond2c(3, (2, 2, 2, 2)).dumps()}, {}, "BAD_PARAM"),
+        (("verify", "--dist", "@d", "--theorem", "lemma3", "--trials", "0", "--seed", "1"),
+         {"d": sample_cond2c(3, (2, 2, 2, 2)).dumps()}, {}, "BAD_PARAM"),
     ],
 )
 def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):

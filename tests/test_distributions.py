@@ -14,6 +14,7 @@ from entroplab.distributions import (
     log2_fraction,
 )
 from entroplab.errors import LabError
+from entroplab.families import extend_with_random_B, sample_random_distribution
 
 from conftest import (
     copied_bit,
@@ -119,6 +120,59 @@ def test_load_rejects_malformed_documents(doc):
     with pytest.raises(LabError) as err:
         load_distribution(doc)
     assert err.value.code in {"SCHEMA_ERROR"}
+
+
+MASS_STRINGS = [
+    "1/2", " 1/2 ", "+1/2", "0.5", "5e-1", "1_0/20", "\u0663/4", "1/ 2", "1/0",
+    "-1/2", "1//2", "", "nan", "0x1/2",
+]
+
+
+@pytest.mark.parametrize("text", MASS_STRINGS)
+def test_mass_strings_parse_exactly_as_fraction_does(text):
+    """Plain n/d strings skip Fraction on load; the accepted strings, their
+    values and the error codes must still be Fraction's on this interpreter
+    (which strings it accepts differs between Python versions)."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    rest = Fraction(1, 2) if expected is None else 1 - expected
+    doc = {
+        "variables": ["A"],
+        "atoms": [{"values": {"A": "a"}, "p": text}, {"values": {"A": "b"}, "p": str(rest)}],
+    }
+    if expected is not None and expected > 0:
+        assert load_distribution(doc).atoms[("a",)] == expected
+    else:
+        with pytest.raises(LabError) as err:
+            load_distribution(doc)
+        assert err.value.code == ("SCHEMA_ERROR" if expected is None else "NEGATIVE_PROB")
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        JointDistribution((), {(): 1}),
+        JointDistribution(
+            ("A", 'q"\\%s', "\u00e9\u2603"),
+            {
+                ('"', "\\", "\n\t\x00\x1f\x7f"): Fraction(1, 3),
+                ("\u00fc", "\u2603", "\U0001d11e"): Fraction(1, 6),
+                ("%s", "%%", "%(x)s"): Fraction(1, 2),
+            },
+        ),
+        extend_with_random_B(
+            sample_random_distribution(("A", "X", "Y"), (3, 2, 2), seed=5), 3, seed=6
+        ),
+    ],
+    ids=["no-variables", "escaped-symbols", "large-denominators"],
+)
+def test_emission_has_the_bytes_of_json_dumps(d):
+    assert d.dumps() == json.dumps(d.to_json_dict(), indent=2) + "\n"
+    masses = [row["p"] for row in d.to_json_dict()["atoms"]]
+    assert masses == [str(d.atoms[outcome]) for outcome in sorted(d.atoms)]
+    assert load_distribution(d.dumps()) == d
 
 
 def test_emission_is_canonical_and_sorted():
