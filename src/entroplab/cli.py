@@ -70,7 +70,7 @@ from .inequalities import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
-    delta_prime_term,
+    _delta_prime,
     delta_term,
     entropy_split_gap,
     gamma_term,
@@ -168,11 +168,9 @@ def _cmd_catalog_gen(args) -> CommandOutcome:
             raise LabError("BAD_PARAM", f"--sizes supports 1..5 variables, got {len(sizes)}")
         seed = _require_flag(args.seed, "--seed")
         d = sample_random_distribution(DEFAULT_ROLE_BY_ARITY[len(sizes)], sizes, seed)
-    elif family == "random-cond2c":
+    else:  # random-cond2c
         sizes = _parse_sizes(_require_flag(args.sizes, "--sizes"))
         d = sample_cond2c(_require_flag(args.seed, "--seed"), sizes)
-    else:  # pragma: no cover - argparse restricts choices
-        raise LabError("BAD_PARAM", f"unknown family {family!r}")
     if args.b_size is not None:
         d = extend_with_random_B(d, args.b_size, _require_flag(args.seed, "--seed"))
     text = d.dumps()
@@ -185,20 +183,21 @@ def _cmd_catalog_gen(args) -> CommandOutcome:
 # info / check
 
 
-def _condition_suite(d):
-    return {
-        COND_INDEPENDENCE: lambda: check_independence(d, "X", "Y"),
-        COND_CI_GIVEN: lambda: check_ci_given(d, "X", "Y", "A"),
-        COND_FUNCTIONAL: lambda: check_functional(d),
-        COND_SUPPORT_SATURATION: lambda: check_support_saturation(d),
-        COND_UNIQUE_COMMON_VALUE: lambda: check_unique_common_value(d),
-        COND_POINTWISE_PRODUCT: lambda: check_pointwise_product(d),
-    }
+# Each entry looks its checker up when called, so a checker patched into
+# this module's namespace is the one that runs.
+_CONDITIONS = {
+    COND_INDEPENDENCE: lambda d: check_independence(d, "X", "Y"),
+    COND_CI_GIVEN: lambda d: check_ci_given(d, "X", "Y", "A"),
+    COND_FUNCTIONAL: lambda d: check_functional(d),
+    COND_SUPPORT_SATURATION: lambda d: check_support_saturation(d),
+    COND_UNIQUE_COMMON_VALUE: lambda d: check_unique_common_value(d),
+    COND_POINTWISE_PRODUCT: lambda d: check_pointwise_product(d),
+}
 
 
 def _cmd_info(args) -> CommandOutcome:
     d = _load_dist(args.dist)
-    conditions = {name: check().to_json_dict() for name, check in _condition_suite(d).items()}
+    verdicts = {name: check(d) for name, check in _CONDITIONS.items()}
     gaps = {
         report.inequality: report.to_json_dict()
         for report in (ingleton_gap(d), reduced_ingleton_gap(d), entropy_split_gap(d))
@@ -208,15 +207,17 @@ def _cmd_info(args) -> CommandOutcome:
         "delta": delta_term(d).to_json_dict(),
     }
     try:
-        terms["delta-prime"] = delta_prime_term(d).to_json_dict()
+        terms["delta-prime"] = _delta_prime(
+            verdicts[COND_SUPPORT_SATURATION], verdicts[COND_POINTWISE_PRODUCT]
+        ).to_json_dict()
     except PreconditionFailed as exc:
         terms["delta-prime"] = {"applicable": False, "witness": exc.witness}
     doc = {
         "variables": list(d.variables),
         "atoms": len(d.counts),
         "fingerprint": d.fingerprint(),
-        "measures": info_report(d).to_json_dict(),
-        "conditions": conditions,
+        "measures": info_report(d),
+        "conditions": {name: verdict.to_json_dict() for name, verdict in verdicts.items()},
         "gaps": gaps,
         "error_terms": terms,
     }
@@ -225,14 +226,13 @@ def _cmd_info(args) -> CommandOutcome:
 
 def _cmd_check(args) -> CommandOutcome:
     d = _load_dist(args.dist)
-    suite = _condition_suite(d)
     if args.condition is not None:
         names = [args.condition]
     elif args.all:
-        names = list(suite)
+        names = list(_CONDITIONS)
     else:
         raise LabError("BAD_PARAM", "pass --condition <id> or --all")
-    verdicts = [suite[name]().to_json_dict() for name in names]
+    verdicts = [_CONDITIONS[name](d).to_json_dict() for name in names]
     doc = {"fingerprint": d.fingerprint(), "verdicts": verdicts}
     failed = [v for v in verdicts if not v["holds"]]
     return _document(doc, exit_code=1 if (args.strict and failed) else 0)
@@ -267,22 +267,21 @@ def _cmd_verify(args) -> CommandOutcome:
     if token == "lemma2":
         cert = verify_lemma2(d)
         return _document(cert.to_json_dict(), 0 if cert.status == PASS else 3)
-    if token == "lemma3":
-        seed = _require_flag(args.seed, "--seed")
-        if args.trials < 1:
-            raise LabError("BAD_PARAM", "--trials must be positive")
-        try:
-            audit = audit_lemma3(d, trials=args.trials, seed=seed)
-        except PreconditionFailed as exc:
-            doc = {"status": NOT_APPLICABLE, "witness": exc.witness}
-            return _document(doc, 1 if args.strict else 0)
-        doc = {
-            "status": PASS if audit.ok else FAIL,
-            "trials": audit.trials,
-            "failures": len(audit.failures),
-        }
-        return _document(doc, 0 if audit.ok else 3)
-    raise LabError("BAD_PARAM", f"unknown theorem token {token!r}")  # pragma: no cover
+    # lemma3
+    seed = _require_flag(args.seed, "--seed")
+    if args.trials < 1:
+        raise LabError("BAD_PARAM", "--trials must be positive")
+    try:
+        audit = audit_lemma3(d, trials=args.trials, seed=seed)
+    except PreconditionFailed as exc:
+        doc = {"status": NOT_APPLICABLE, "witness": exc.witness}
+        return _document(doc, 1 if args.strict else 0)
+    doc = {
+        "status": PASS if audit.ok else FAIL,
+        "trials": audit.trials,
+        "failures": len(audit.failures),
+    }
+    return _document(doc, 0 if audit.ok else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +317,11 @@ def _fuzz_trial(target: str, rng: random.Random):
         d = _sparse_sample(rng)
         cert = verify_lemma2(d)
         return d, cert.status
-    if target == "lemma3":
-        sizes = tuple(rng.randint(1, 3) for _ in range(4))
-        d = sample_cond2c(inner, sizes)
-        audit = audit_lemma3(d, trials=3, seed=rng.randrange(SEED_SPAN))
-        return d, PASS if audit.ok else FAIL
-    raise LabError("BAD_PARAM", f"unknown fuzz target {target!r}")  # pragma: no cover
+    # lemma3
+    sizes = tuple(rng.randint(1, 3) for _ in range(4))
+    d = sample_cond2c(inner, sizes)
+    audit = audit_lemma3(d, trials=3, seed=rng.randrange(SEED_SPAN))
+    return d, PASS if audit.ok else FAIL
 
 
 def _cmd_fuzz(args) -> CommandOutcome:
@@ -418,16 +416,15 @@ def _cmd_graph(args) -> CommandOutcome:
             except PreconditionFailed as exc:
                 doc[method] = {"applicable": False, "witness": exc.witness}
         return _document(doc)
-    if action == "z-extend":
-        cover = load_cover(_read(args.cover))
-        report = extend_with_cover_index(g, cover)
-        doc = report.to_json_dict()
-        doc["fingerprint"] = report.distribution.fingerprint()
-        if args.out:
-            _write(args.out, report.distribution.dumps())
-        ok = report.split_holds and report.size_floor_holds
-        return _document(doc, 1 if (args.strict and not ok) else 0)
-    raise LabError("BAD_PARAM", f"unknown graph action {action!r}")  # pragma: no cover
+    # z-extend
+    cover = load_cover(_read(args.cover))
+    report = extend_with_cover_index(g, cover)
+    doc = report.to_json_dict()
+    doc["fingerprint"] = report.distribution.fingerprint()
+    if args.out:
+        _write(args.out, report.distribution.dumps())
+    ok = report.split_holds and report.size_floor_holds
+    return _document(doc, 1 if (args.strict and not ok) else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="support and product condition verdicts")
     check.add_argument("--dist", required=True)
-    check.add_argument(
-        "--condition",
-        choices=[
-            COND_INDEPENDENCE,
-            COND_CI_GIVEN,
-            COND_FUNCTIONAL,
-            COND_SUPPORT_SATURATION,
-            COND_UNIQUE_COMMON_VALUE,
-            COND_POINTWISE_PRODUCT,
-        ],
-    )
+    check.add_argument("--condition", choices=list(_CONDITIONS))
     check.add_argument("--all", action="store_true")
     check.add_argument("--strict", action="store_true")
     check.set_defaults(handler=_cmd_check)

@@ -1,12 +1,13 @@
 """Exact finite joint distributions and Shannon information measures.
 
-A distribution stores its atoms as positive integer ``counts`` over one
-``denominator``, in lowest terms, and caches each marginal table as
-integer counts over its own lowest-terms denominator.  Marginalization,
-conditioning and the conditional-independence fork stay exact on those
-integers, so support predicates and product identities are decided by
-integer cross-multiplication.  ``fractions.Fraction`` appears only at the
-edges: mass strings other than plain ``n/d``, the public ``atoms``,
+A distribution is built from integer ``counts`` over one ``denominator``
+(masses written as text enter through ``load_distribution``), stores them
+in lowest terms, and caches each marginal table as integer counts over its
+own lowest-terms denominator.  Marginalization, conditioning and the
+conditional-independence fork stay exact on those integers, so support
+predicates and product identities are decided by integer
+cross-multiplication.  ``fractions.Fraction`` appears only at the edges:
+mass strings other than plain ``n/d``, the public ``atoms``,
 ``table()`` and ``prob()`` views (made on each access, never cached), and
 the power-sum certificates.  Information measures are returned in bits
 (base-2 logarithm, double precision).  ``TOLERANCE`` is the absolute slack
@@ -34,7 +35,6 @@ import json
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from itertools import groupby, repeat
@@ -163,35 +163,31 @@ class _Masses(Mapping):
 class JointDistribution:
     """A tuple of named discrete variables with exact positive atom masses.
 
-    ``variables`` is the declared column order.  ``counts`` maps outcome
-    tuples (one symbol per variable, in that order) to positive integers
-    over ``denominator``, in lowest terms, summing to it exactly; the
-    ``atoms`` property is the same map with Fraction masses.  The
-    constructor's ``atoms`` argument maps outcomes to masses (Fractions,
-    ints or strings) or, when ``denominator`` is given, to integer counts
-    over it.  Zero-mass atoms are dropped at construction, so the support
-    is always the atom set itself.  Instances are immutable by convention:
-    no method mutates ``counts``, derived marginal tables are cached
-    internally.
+    ``variables`` is the declared column order.  The constructor takes
+    ``counts``, a map (or iterable of pairs) from outcome tuples, one symbol
+    per variable in that order, to non-negative integers over a positive
+    ``denominator``, summing to it exactly; masses as text or Fractions
+    enter through ``load_distribution``.  The instance keeps ``counts`` and
+    ``denominator`` reduced to lowest terms, and the ``atoms`` property is
+    the same map with Fraction masses.  Zero counts are dropped at
+    construction, so the support is always the atom set itself.  Instances
+    are immutable by convention: no method mutates ``counts``, derived
+    marginal tables are cached internally.
     """
 
     __slots__ = ("variables", "counts", "denominator", "_tables", "_entropies")
 
-    def __init__(self, variables: Iterable[str], atoms, denominator: int | None = None):
+    def __init__(self, variables: Iterable[str], counts, denominator: int):
         variables = tuple(variables)
         if any(not isinstance(v, str) or not v for v in variables):
             raise LabError("SCHEMA_ERROR", "variable names must be non-empty strings")
         if len(set(variables)) != len(variables):
             raise LabError("SCHEMA_ERROR", f"duplicate variable names in {variables}")
-        # Masses in lowest terms give counts in lowest terms (see _common);
-        # counts over a given denominator are reduced at the end.
-        lowest = denominator is None
-        if not lowest and (type(denominator) is not int or denominator < 1):
+        if type(denominator) is not int or denominator < 1:
             raise LabError("SCHEMA_ERROR", f"denominator {denominator!r} must be positive")
-        items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        counts: Counts = {}
-        dens: list[int] = []
-        for outcome, mass in items:
+        items = counts.items() if isinstance(counts, Mapping) else counts
+        counts = {}
+        for outcome, n in items:
             outcome = tuple(outcome)
             if len(outcome) != len(variables):
                 raise LabError(
@@ -204,25 +200,18 @@ class JointDistribution:
                 raise LabError("SCHEMA_ERROR", f"symbols must be strings in {outcome}") from None
             if outcome in counts:
                 raise LabError("DUPLICATE_ATOM", f"atom {outcome} listed twice")
-            if lowest:
-                num, den = _ratio(mass)
-                dens.append(den)
-            elif type(mass) is int:
-                num, den = mass, denominator
-            else:
-                raise LabError("SCHEMA_ERROR", f"count {mass!r} of {outcome} is not an integer")
-            if num < 0:
-                raise LabError("NEGATIVE_PROB", f"atom {outcome} has mass {Fraction(num, den)}")
-            counts[outcome] = num
-        if lowest:
-            values, denominator = _common(counts.values(), dens)
-            counts = dict(zip(counts, values))
+            if type(n) is not int:
+                raise LabError("SCHEMA_ERROR", f"count {n!r} of {outcome} is not an integer")
+            if n < 0:
+                mass = Fraction(n, denominator)
+                raise LabError("NEGATIVE_PROB", f"atom {outcome} has mass {mass}")
+            counts[outcome] = n
         total = sum(counts.values())
         if total != denominator:
             raise LabError(
                 "SUM_NOT_ONE", f"atom masses sum to {Fraction(total, denominator)}, not 1"
             )
-        g = 1 if lowest else _gcd_all(denominator, counts.values())
+        g = _gcd_all(denominator, counts.values())
         if g > 1 or 0 in counts.values():
             counts = {outcome: n // g for outcome, n in counts.items() if n}
         object.__setattr__(self, "variables", variables)
@@ -418,10 +407,14 @@ class JointDistribution:
         cached = self._entropies.get(names)
         if cached is None:
             counts, den = self._table(names)
-            # one p log2 p per distinct count, summed in table order
+            # one p log2 p per distinct count, summed in table order by a
+            # plain loop: sum() of floats is compensated from Python 3.12 on
             plog2 = {n: _plog2(n, den) for n in set(counts.values())}
+            total = 0.0
+            for n in counts.values():
+                total += plog2[n]
             # + 0.0 turns the IEEE -0.0 of deterministic marginals into plain 0.0
-            cached = self._entropies[names] = -sum([plog2[n] for n in counts.values()]) + 0.0
+            cached = self._entropies[names] = -total + 0.0
         return cached
 
     def cond_entropy(self, variables, given) -> float:
@@ -602,29 +595,9 @@ def build_markov_fork(d: JointDistribution) -> JointDistribution:
     return JointDistribution(d.variables, counts, den_x * den_y * lcm)
 
 
-@dataclass(frozen=True)
-class InfoReport:
-    """Named scalar information measures in bits over the canonical roles."""
-
-    measures: dict[str, float] = field(default_factory=dict)
-
-    def __getitem__(self, key: str) -> float:
-        return self.measures[key]
-
-    def validate(self, tol: float = TOLERANCE) -> None:
-        for key, value in self.measures.items():
-            if key.startswith("H(") and value < -tol:
-                raise LabError("BAD_PARAM", f"negative entropy {key} = {value}")
-        for key in ("I(X:Y)", "I(A:B)", "I(A:X)", "I(A:Y)", "I(X:Y|A)", "I(A:B|X)", "I(A:B|Y)"):
-            if self.measures.get(key, 0.0) < -tol:
-                raise LabError("BAD_PARAM", f"negative mutual information {key}")
-
-    def to_json_dict(self) -> dict:
-        return dict(self.measures)
-
-
-def info_report(d: JointDistribution) -> InfoReport:
-    """The full panel of entropies and mutual informations over A, B, X, Y."""
+def info_report(d: JointDistribution) -> dict[str, float]:
+    """The full panel of entropies and mutual informations over A, B, X, Y,
+    in bits, keyed by the measure's name."""
     m: dict[str, float] = {}
     for role in ("A", "B", "X", "Y"):
         m[f"H({role})"] = d.entropy(role)
@@ -642,6 +615,10 @@ def info_report(d: JointDistribution) -> InfoReport:
     m["I(A:B|X)"] = d.mutual_info("A", "B", "X")
     m["I(A:B|Y)"] = d.mutual_info("A", "B", "Y")
     m["I(X:Y:A)"] = d.triple_mutual_info("X", "Y", "A")
-    report = InfoReport(m)
-    report.validate()
-    return report
+    for key, value in m.items():
+        if key.startswith("H(") and value < -TOLERANCE:
+            raise LabError("BAD_PARAM", f"negative entropy {key} = {value}")
+    for key in ("I(X:Y)", "I(A:B)", "I(A:X)", "I(A:Y)", "I(X:Y|A)", "I(A:B|X)", "I(A:B|Y)"):
+        if m[key] < -TOLERANCE:
+            raise LabError("BAD_PARAM", f"negative mutual information {key}")
+    return m

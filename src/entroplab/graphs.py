@@ -31,8 +31,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .conditions import Verdict
-from .distributions import JointDistribution, TOLERANCE, as_fraction
+from .distributions import JointDistribution, TOLERANCE, _common, _ratio, as_fraction
 from .errors import LabError, PreconditionFailed, TooLarge
+from .families import ATOM_BUDGET
 from .inequalities import verify_theorem1
 
 PROPERTY_STAR = "property-star"
@@ -241,6 +242,10 @@ def gen_gnk(n: int, k: int) -> ColoredBipartiteGraph:
         raise LabError("BAD_PARAM", f"disjointness graph needs 1 <= k <= n/2, got n={n!r} k={k!r}")
     if math.comb(n, k) > VERTEX_BUDGET:
         raise LabError("BAD_PARAM", f"{math.comb(n, k)} vertices per side exceed the budget")
+    # the edges are the atoms of disjoint-sets(n, k), under the same budget
+    edge_count = math.comb(n, k) * math.comb(n - k, k)
+    if edge_count > ATOM_BUDGET:
+        raise TooLarge(f"G({n},{k}) would enumerate {edge_count} edges")
     labels = ["{%s}" % ",".join(str(i) for i in c)
               for c in itertools.combinations(range(1, n + 1), k)]
     subsets = {lbl: frozenset(c)
@@ -262,7 +267,10 @@ def edge_distribution(g: ColoredBipartiteGraph) -> JointDistribution:
     if g.edges[0].weight is None:
         atoms = {(e.color, e.x, e.y): 1 for e in g.edges}
         return JointDistribution(("A", "X", "Y"), atoms, len(g.edges))
-    return JointDistribution(("A", "X", "Y"), {(e.color, e.x, e.y): e.weight for e in g.edges})
+    nums, dens = zip(*(_ratio(e.weight) for e in g.edges))
+    counts, den = _common(nums, dens)
+    outcomes = [(e.color, e.x, e.y) for e in g.edges]
+    return JointDistribution(("A", "X", "Y"), zip(outcomes, counts), den)
 
 
 # ---------------------------------------------------------------------------

@@ -179,12 +179,18 @@ def delta_prime_term(d: JointDistribution) -> ErrorTermCertificate:
     """Pointwise-maximum error term; requires cond-2-B, which guarantees the
     denominator is positive at every cell where the numerator is."""
     saturated = check_support_saturation(d)
+    pointwise = check_pointwise_product(d) if saturated.holds else None
+    return _delta_prime(saturated, pointwise)
+
+
+def _delta_prime(saturated: Verdict, pointwise: PointwiseProductReport | None):
+    # The delta-prime certificate from one distribution's cond-2-B verdict
+    # and pointwise report; the report is not read when cond-2-B fails.
     if not saturated.holds:
         raise PreconditionFailed(
             "delta-prime needs cond-2-B (support saturation)", saturated.witness
         )
-    report = check_pointwise_product(d)
-    return _certificate("delta-prime", report.max_ratio)
+    return _certificate("delta-prime", pointwise.max_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +310,7 @@ def verify_theorem2(d: JointDistribution) -> Theorem2Certificate:
     if not condition.holds:
         return Theorem2Certificate(NOT_APPLICABLE, condition)
     pointwise = check_pointwise_product(d)
-    delta_prime = _certificate("delta-prime", pointwise.max_ratio)
+    delta_prime = _delta_prime(condition, pointwise)
     gap = reduced_ingleton_gap(d)
     slack = gap.gap + delta_prime.bits
     ok = slack >= -TOLERANCE

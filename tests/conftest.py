@@ -6,7 +6,6 @@ than from the code under test.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -19,14 +18,14 @@ def xor_triple():
     atoms = {}
     for x in (0, 1):
         for y in (0, 1):
-            atoms[(str(x ^ y), str(x), str(y))] = Fraction(1, 4)
-    return JointDistribution(("A", "X", "Y"), atoms)
+            atoms[(str(x ^ y), str(x), str(y))] = 1
+    return JointDistribution(("A", "X", "Y"), atoms, 4)
 
 
 def copied_bit():
     """A = X = Y, a single uniform bit copied three times."""
-    atoms = {(b, b, b): Fraction(1, 2) for b in ("0", "1")}
-    return JointDistribution(("A", "X", "Y"), atoms)
+    atoms = {(b, b, b): 1 for b in ("0", "1")}
+    return JointDistribution(("A", "X", "Y"), atoms, 2)
 
 
 def independent_bits(variables=("A", "B", "X", "Y")):
@@ -34,21 +33,20 @@ def independent_bits(variables=("A", "B", "X", "Y")):
     atoms = {}
     for i in range(2**n):
         bits = tuple(str((i >> j) & 1) for j in range(n))
-        atoms[bits] = Fraction(1, 2**n)
-    return JointDistribution(variables, atoms)
+        atoms[bits] = 1
+    return JointDistribution(variables, atoms, 2**n)
 
 
 def pairs_triple(n):
     """Uniform ordered pair of distinct values with A = the unordered pair,
     built directly from itertools-free loops (mirrors no generator code)."""
     atoms = {}
-    mass = Fraction(1, n * (n - 1))
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             if x != y:
                 a = "{%d,%d}" % (min(x, y), max(x, y))
-                atoms[(a, str(x), str(y))] = mass
-    return JointDistribution(("A", "X", "Y"), atoms)
+                atoms[(a, str(x), str(y))] = 1
+    return JointDistribution(("A", "X", "Y"), atoms, n * (n - 1))
 
 
 def random_support_distribution(rng, variables=("A", "B", "X", "Y"), max_size=3):
@@ -60,9 +58,7 @@ def random_support_distribution(rng, variables=("A", "B", "X", "Y"), max_size=3)
     count = rng.randint(1, len(cells))
     support = rng.sample(cells, count)
     nums = [rng.randint(1, 100) for _ in support]
-    total = sum(nums)
-    atoms = {cell: Fraction(num, total) for cell, num in zip(support, nums)}
-    return JointDistribution(variables, atoms)
+    return JointDistribution(variables, dict(zip(support, nums)), sum(nums))
 
 
 @st.composite
@@ -78,11 +74,7 @@ def sparse_triples(draw, max_size=3):
     nums = draw(
         st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support))
     )
-    total = sum(nums)
-    return JointDistribution(
-        ("A", "X", "Y"),
-        {cell: Fraction(n, total) for cell, n in zip(sorted(support), nums)},
-    )
+    return JointDistribution(("A", "X", "Y"), dict(zip(sorted(support), nums)), sum(nums))
 
 
 @pytest.fixture

@@ -162,7 +162,7 @@ def test_info_report_coupled_field_lines(tmp_path):
 
 
 def test_info_report_single_atom(dist_file):
-    d = JointDistribution(("A",), {("0",): Fraction(1)})
+    d = JointDistribution(("A",), {("0",): 1}, 1)
     code, doc = invoke_json("info", "report", "--dist", dist_file(d))
     assert code == 0
     assert all(value == 0.0 for value in doc["measures"].values())
@@ -416,6 +416,7 @@ def test_malformed_file_exits_two(tmp_path):
          {"d": sample_cond2c(3, (2, 2, 2, 2)).dumps()}, {}, "BAD_PARAM"),
         (("verify", "--dist", "@d", "--theorem", "lemma3", "--trials", "0", "--seed", "1"),
          {"d": sample_cond2c(3, (2, 2, 2, 2)).dumps()}, {}, "BAD_PARAM"),
+        (("graph", "gen", "--n", "10000", "--k", "1"), {}, {}, "TOO_LARGE"),
     ],
 )
 def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):

@@ -28,9 +28,8 @@ from conftest import (
 
 
 def dist(variables, rows):
-    total = sum(Fraction(r[-1]) for r in rows)
     return JointDistribution(
-        variables, {tuple(r[:-1]): Fraction(r[-1]) / total for r in rows}
+        variables, {tuple(r[:-1]): r[-1] for r in rows}, sum(r[-1] for r in rows)
     )
 
 
@@ -201,11 +200,7 @@ def test_support_conditions_ignore_masses():
         d = random_support_distribution(rng, ("A", "X", "Y"), max_size=3)
         support = sorted(d.atoms)
         nums = [rng.randint(1, 999) for _ in support]
-        total = sum(nums)
-        other = JointDistribution(
-            d.variables,
-            {cell: Fraction(n, total) for cell, n in zip(support, nums)},
-        )
+        other = JointDistribution(d.variables, dict(zip(support, nums)), sum(nums))
         assert (
             check_support_saturation(d).holds
             == check_support_saturation(other).holds

@@ -153,14 +153,15 @@ def test_mass_strings_parse_exactly_as_fraction_does(text):
 @pytest.mark.parametrize(
     "d",
     [
-        JointDistribution((), {(): 1}),
+        JointDistribution((), {(): 1}, 1),
         JointDistribution(
             ("A", 'q"\\%s', "\u00e9\u2603"),
             {
-                ('"', "\\", "\n\t\x00\x1f\x7f"): Fraction(1, 3),
-                ("\u00fc", "\u2603", "\U0001d11e"): Fraction(1, 6),
-                ("%s", "%%", "%(x)s"): Fraction(1, 2),
+                ('"', "\\", "\n\t\x00\x1f\x7f"): 2,
+                ("\u00fc", "\u2603", "\U0001d11e"): 1,
+                ("%s", "%%", "%(x)s"): 3,
             },
+            6,
         ),
         extend_with_random_B(
             sample_random_distribution(("A", "X", "Y"), (3, 2, 2), seed=5), 3, seed=6
@@ -176,8 +177,8 @@ def test_emission_has_the_bytes_of_json_dumps(d):
 
 
 def test_emission_is_canonical_and_sorted():
-    atoms = {("b", "1"): Fraction(1, 2), ("a", "2"): Fraction(2, 4)}
-    d = JointDistribution(("A", "X"), atoms)
+    atoms = {("b", "1"): 2, ("a", "2"): 2}
+    d = JointDistribution(("A", "X"), atoms, 4)
     doc = doc_of(d)
     assert [r["values"]["A"] for r in doc["atoms"]] == ["a", "b"]
     assert doc["atoms"][0]["p"] == "1/2"
@@ -280,7 +281,7 @@ def test_overlapping_sets_rejected():
 
 
 def test_entropy_of_deterministic_variable_is_zero():
-    d = JointDistribution(("A",), {("a",): Fraction(1)})
+    d = JointDistribution(("A",), {("a",): 1}, 1)
     assert d.entropy("A") == 0.0
 
 
@@ -318,11 +319,7 @@ def small_distributions(draw):
     nums = draw(
         st.lists(st.integers(1, 50), min_size=len(support), max_size=len(support))
     )
-    total = sum(nums)
-    return JointDistribution(
-        ("A", "X", "Y"),
-        {cell: Fraction(n, total) for cell, n in zip(sorted(support), nums)},
-    )
+    return JointDistribution(("A", "X", "Y"), dict(zip(sorted(support), nums)), sum(nums))
 
 
 @settings(max_examples=100, deadline=None)
@@ -376,7 +373,7 @@ def test_fork_makes_x_y_independent_given_group():
 
 
 def test_fork_rejects_unexpected_variables():
-    d = JointDistribution(("A", "Q"), {("a", "q"): Fraction(1)})
+    d = JointDistribution(("A", "Q"), {("a", "q"): 1}, 1)
     with pytest.raises(LabError) as err:
         build_markov_fork(d)
     assert err.value.code == "SCHEMA_ERROR"
@@ -396,9 +393,9 @@ def test_info_report_for_xor():
 
 
 def test_info_report_single_atom_is_all_zero():
-    d = JointDistribution(("A", "X", "Y"), {("a", "x", "y"): Fraction(1)})
+    d = JointDistribution(("A", "X", "Y"), {("a", "x", "y"): 1}, 1)
     r = info_report(d)
-    assert all(abs(v) <= TOL for v in r.measures.values())
+    assert all(abs(v) <= TOL for v in r.values())
 
 
 def test_independent_bits_report():

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from entroplab.conditions import check_ci_given, check_pointwise_product
+from entroplab.conditions import check_ci_given, check_independence, check_pointwise_product
+from entroplab.distributions import JointDistribution
 from entroplab.families import extend_with_random_B, sample_random_distribution
 from entroplab.inequalities import delta_term, gamma_term
 
@@ -83,6 +84,26 @@ def reference_ci(d):
     return None
 
 
+def reference_independence(d, u, v):
+    """The smallest cell (cu, cv), in sorted order over the product of the
+    supports of u and v, with p(u, v) != p(u) p(v); None when there is none.
+    A role the distribution lacks reads as the constant "*"."""
+
+    def marginal_of(names):
+        out = {}
+        for outcome, p in d.atoms.items():
+            values = dict(zip(d.variables, outcome))
+            key = tuple(values.get(n, "*") for n in names)
+            out[key] = out.get(key, Fraction(0)) + p
+        return out
+
+    pu, pv, puv = marginal_of(u), marginal_of(v), marginal_of(u + v)
+    for cu, cv in itertools.product(sorted(pu), sorted(pv)):
+        if puv.get(cu + cv, Fraction(0)) != pu[cu] * pv[cv]:
+            return dict(zip(u + v, cu + cv))
+    return None
+
+
 def extended_samples():
     rng = random.Random(4417)
     for _ in range(12):
@@ -139,3 +160,37 @@ def test_ci_verdict_matches_the_definition(index):
     verdict = check_ci_given(d, "X", "Y", "A")
     assert verdict.holds is (witness is None)
     assert verdict.witness == witness
+
+
+def assert_independence_matches(d, u, v):
+    witness = reference_independence(d, u, v)
+    verdict = check_independence(d, u, v)
+    assert verdict.holds is (witness is None)
+    assert verdict.witness == witness
+    return verdict
+
+
+@pytest.mark.parametrize("index", range(len(SAMPLES)))
+def test_independence_verdict_matches_the_definition(index):
+    d = SAMPLES[index]
+    for u, v in ((("X",), ("Y",)), (("A",), ("B",)), (("X", "Y"), ("A",)), (("B",), ("A", "X"))):
+        assert_independence_matches(d, u, v)
+    # B is a missing role once it is marginalized away
+    no_b = d.marginal(("A", "X", "Y"))
+    for u, v in ((("B",), ("X",)), (("A", "B"), ("Y",)), (("X", "Y"), ("A",))):
+        assert_independence_matches(no_b, u, v)
+
+
+def test_independence_holds_on_a_product_distribution():
+    weights = {"A": [1, 2], "X": [3, 1, 2], "Y": [5, 1]}
+    counts = {
+        (str(a), str(x), str(y)): wa * wx * wy
+        for a, wa in enumerate(weights["A"])
+        for x, wx in enumerate(weights["X"])
+        for y, wy in enumerate(weights["Y"])
+    }
+    d = JointDistribution(("A", "X", "Y"), counts, 3 * 6 * 6)
+    for u, v in ((("A",), ("X",)), (("A", "X"), ("Y",)), (("X", "Y"), ("A",)), (("B",), ("Y",))):
+        assert assert_independence_matches(d, u, v).holds
+    # the seeded samples reach the other verdict
+    assert {check_independence(d, ("X", "Y"), ("A",)).holds for d in SAMPLES} == {True, False}

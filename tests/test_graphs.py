@@ -125,7 +125,7 @@ def test_gnk_shapes():
 
 
 def test_gnk_rejects_bad_params():
-    for n, k in ((3, 2), (1, 1), (4, 0)):
+    for n, k in ((3, 2), (1, 1), (4, 0), (1001, 1)):
         with pytest.raises(LabError):
             gen_gnk(n, k)
 

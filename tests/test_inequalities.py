@@ -37,8 +37,8 @@ TOL = 1e-9
 
 def copied_bit_with_b():
     # A = B = X = Y, one shared uniform bit
-    atoms = {(b, b, b, b): Fraction(1, 2) for b in ("0", "1")}
-    return JointDistribution(("A", "B", "X", "Y"), atoms)
+    atoms = {(b, b, b, b): 1 for b in ("0", "1")}
+    return JointDistribution(("A", "B", "X", "Y"), atoms, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +132,10 @@ def test_pairs_triple_gamma_closed_form():
 def test_gamma_counts_terms_once_per_a_value():
     # two values of A on the same (x, y) cell double the power sum
     atoms = {
-        ("a1", "x1", "y1"): Fraction(1, 2),
-        ("a2", "x1", "y1"): Fraction(1, 2),
+        ("a1", "x1", "y1"): 1,
+        ("a2", "x1", "y1"): 1,
     }
-    d = JointDistribution(("A", "X", "Y"), atoms)
+    d = JointDistribution(("A", "X", "Y"), atoms, 2)
     cert = gamma_term(d)
     assert cert.power_sum == Fraction(2)
 
