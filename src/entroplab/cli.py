@@ -19,8 +19,8 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .conditions import (
     COND_CI_GIVEN,
@@ -92,8 +92,7 @@ DEFAULT_ROLE_BY_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
+class CommandOutcome(NamedTuple):
     exit_code: int
     text: str
 

@@ -19,8 +19,8 @@ Condition ids used in verdicts and by the CLI:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .distributions import JointDistribution, Outcome, _as_names
 from .errors import LabError, PreconditionFailed
@@ -33,18 +33,36 @@ COND_UNIQUE_COMMON_VALUE = "cond-2-C"
 COND_POINTWISE_PRODUCT = "pointwise-product"
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of one condition check; holds is False iff a witness exists."""
 
-    condition: str
-    holds: bool
-    witness: dict | None = None
-    detail: str = ""
+    __slots__ = ("condition", "holds", "witness", "detail")
 
-    def __post_init__(self):
-        if self.holds == (self.witness is not None):
+    def __init__(self, condition: str, holds: bool, witness: dict | None = None, detail: str = ""):
+        if holds == (witness is not None):
             raise LabError("BAD_PARAM", "verdict must carry a witness exactly when it fails")
+        for name, value in zip(self.__slots__, (condition, holds, witness, detail)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("Verdict is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.condition, self.holds, self.witness, self.detail)
+
+    def __eq__(self, other):
+        if not isinstance(other, Verdict):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._key())
+        return "Verdict(%s)" % ", ".join(f"{name}={value!r}" for name, value in pairs)
 
     def to_json_dict(self) -> dict:
         doc = {"condition": self.condition, "holds": self.holds, "witness": self.witness}
@@ -156,8 +174,7 @@ def check_unique_common_value(d: JointDistribution) -> Verdict:
     return Verdict(COND_UNIQUE_COMMON_VALUE, False, {"a": a, "a2": a2, "x": x, "y": y})
 
 
-@dataclass(frozen=True)
-class PointwiseProductReport:
+class PointwiseProductReport(NamedTuple):
     """Verdict of the pointwise product inequality together with its exact
     extremal ratio.
 
@@ -239,8 +256,7 @@ def check_pointwise_product(d: JointDistribution) -> PointwiseProductReport:
 # audits
 
 
-@dataclass(frozen=True)
-class Lemma1Audit:
+class Lemma1Audit(NamedTuple):
     """The four condition verdicts on one distribution and any violated
     implications among them.
 
@@ -292,12 +308,11 @@ def audit_lemma1(d: JointDistribution) -> Lemma1Audit:
     return Lemma1Audit(ci, fn, sat, ucv, tuple(violations))
 
 
-@dataclass(frozen=True)
-class Lemma3Audit:
+class Lemma3Audit(NamedTuple):
     """Stability of cond-2-C under conditioning on positive-mass events."""
 
     trials: int
-    failures: tuple[dict, ...] = field(default_factory=tuple)
+    failures: tuple[dict, ...] = ()
 
     @property
     def ok(self) -> bool:

@@ -30,7 +30,6 @@ is the constant variable wherever a measure or a condition names it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -486,6 +485,7 @@ class JointDistribution:
 
     def fingerprint(self) -> str:
         """Short content hash of the canonical emission."""
+        import hashlib  # imported here because most commands never fingerprint
         return hashlib.sha256(self.dumps().encode()).hexdigest()[:16]
 
 

@@ -26,9 +26,8 @@ partition.
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .conditions import Verdict
 from .distributions import JointDistribution, TOLERANCE, _common, _ratio, as_fraction
@@ -44,8 +43,7 @@ COVER_SEARCH_LIMIT = 20
 VERTEX_BUDGET = 10**4
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     x: str
     y: str
     color: str
@@ -188,8 +186,7 @@ def load_graph(doc) -> ColoredBipartiteGraph:
     )
 
 
-@dataclass(frozen=True)
-class Biclique:
+class Biclique(NamedTuple):
     left: tuple[str, ...]
     right: tuple[str, ...]
 
@@ -241,7 +238,7 @@ def gen_gnk(n: int, k: int) -> ColoredBipartiteGraph:
     if not isinstance(n, int) or not isinstance(k, int) or k < 1 or 2 * k > n:
         raise LabError("BAD_PARAM", f"disjointness graph needs 1 <= k <= n/2, got n={n!r} k={k!r}")
     if math.comb(n, k) > VERTEX_BUDGET:
-        raise LabError("BAD_PARAM", f"{math.comb(n, k)} vertices per side exceed the budget")
+        raise TooLarge(f"{math.comb(n, k)} vertices per side exceed the budget")
     # the edges are the atoms of disjoint-sets(n, k), under the same budget
     edge_count = math.comb(n, k) * math.comb(n - k, k)
     if edge_count > ATOM_BUDGET:
@@ -277,8 +274,7 @@ def edge_distribution(g: ColoredBipartiteGraph) -> JointDistribution:
 # matching partitions
 
 
-@dataclass(frozen=True)
-class MatchingPartitionReport:
+class MatchingPartitionReport(NamedTuple):
     valid: bool
     k: int
     left_min_degree: int
@@ -351,8 +347,7 @@ def verify_matching_partition(g: ColoredBipartiteGraph, partition) -> MatchingPa
     return report(True)
 
 
-@dataclass(frozen=True)
-class CorollaryCertificate:
+class CorollaryCertificate(NamedTuple):
     k: int
     left_min_degree: int
     right_min_degree: int
@@ -538,8 +533,7 @@ def check_property_doublestar(g: ColoredBipartiteGraph) -> Verdict:
 # biclique cover bounds
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     value: float
     integer_bound: int
@@ -547,13 +541,7 @@ class BoundReport:
     requires: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "integer_bound": self.integer_bound,
-            "exact": None if self.exact is None else str(self.exact),
-            "requires": self.requires,
-        }
+        return {**self._asdict(), "exact": None if self.exact is None else str(self.exact)}
 
 
 def _require(verdict: Verdict):
@@ -650,8 +638,10 @@ def verify_biclique_cover(g: ColoredBipartiteGraph, cover) -> Verdict:
 
 
 def _root_lower_bound(g: ColoredBipartiteGraph) -> int:
+    # The dual entropy bound is left out: under the same property-star gate,
+    # H(X,Y) - H(A) = H(X,Y|A) <= log2 of the largest color class.
     floor = 1
-    for bound in (bcc_color_bound, bcc_entropy_bound, bcc_dual_entropy_bound):
+    for bound in (bcc_color_bound, bcc_entropy_bound):
         try:
             floor = max(floor, bound(g).integer_bound)
         except PreconditionFailed:
@@ -719,8 +709,7 @@ def bcc_exact(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> int:
 # cover-index extension
 
 
-@dataclass(frozen=True)
-class ZExtensionReport:
+class ZExtensionReport(NamedTuple):
     distribution: JointDistribution
     cover_size: int
     split_slack: float

@@ -36,8 +36,8 @@ CLI (exit code 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .conditions import (
     PointwiseProductReport,
@@ -59,8 +59,7 @@ FAIL = "FAIL"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Right side minus left side of one inequality, with the individual
     terms in bits; ``holds`` allows the shared absolute tolerance."""
 
@@ -76,8 +75,7 @@ class GapReport:
         return {"inequality": self.inequality, "gap": self.gap, "terms": dict(self.terms)}
 
 
-@dataclass(frozen=True)
-class ErrorTermCertificate:
+class ErrorTermCertificate(NamedTuple):
     """An error term together with the exact rational it is the log of.
 
     The float ``bits`` is derived from ``power_sum`` through a sign-faithful
@@ -197,8 +195,7 @@ def _delta_prime(saturated: Verdict, pointwise: PointwiseProductReport | None):
 # verifiers
 
 
-@dataclass(frozen=True)
-class Lemma2Certificate:
+class Lemma2Certificate(NamedTuple):
     """Unconditional guarantees: the entropy-split gap is at least -gamma and
     the reduced-Ingleton gap is at least -delta, both within tolerance."""
 
@@ -241,8 +238,7 @@ def verify_lemma2(d: JointDistribution) -> Lemma2Certificate:
     return Lemma2Certificate(PASS if ok else FAIL, split, reduced, gamma, delta)
 
 
-@dataclass(frozen=True)
-class Theorem1Certificate:
+class Theorem1Certificate(NamedTuple):
     """Entropy-split inequality under cond-2-C.
 
     When the condition holds the verifier asserts the numeric gap and that
@@ -277,8 +273,7 @@ def verify_theorem1(d: JointDistribution) -> Theorem1Certificate:
     return Theorem1Certificate(PASS if ok else FAIL, condition, gap, gamma, power_ok)
 
 
-@dataclass(frozen=True)
-class Theorem2Certificate:
+class Theorem2Certificate(NamedTuple):
     """Reduced-Ingleton inequality with the pointwise error term under
     cond-2-B; when the pointwise product inequality additionally holds at
     every cell, the plain bound follows and the product comparison must be

@@ -417,6 +417,7 @@ def test_malformed_file_exits_two(tmp_path):
         (("verify", "--dist", "@d", "--theorem", "lemma3", "--trials", "0", "--seed", "1"),
          {"d": sample_cond2c(3, (2, 2, 2, 2)).dumps()}, {}, "BAD_PARAM"),
         (("graph", "gen", "--n", "10000", "--k", "1"), {}, {}, "TOO_LARGE"),
+        (("graph", "gen", "--n", "30", "--k", "5"), {}, {}, "TOO_LARGE"),
     ],
 )
 def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):
@@ -447,6 +448,32 @@ def test_exact_cover_ignores_hash_seed(graph_file):
     ]
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
+
+
+# Modules a command never needs, which together cost about 20 ms of every
+# process start: ``dataclasses`` pulls in ``inspect`` (and with it ``ast``,
+# ``dis`` and ``tokenize``), and ``hashlib`` serves only fingerprints.
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "hashlib")
+
+
+def _loaded_in_child(code):
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_startup_imports_stay_lean():
+    probe = ("\nimport json, sys\n"
+             f"print(json.dumps([m for m in {STARTUP_FORBIDDEN!r} if m in sys.modules]))")
+    # a module the interpreter's own start-up or the stdlib already loads
+    # on this Python version is not the program's doing
+    baseline = _loaded_in_child("import argparse, json, fractions, random, typing" + probe)
+    loaded = _loaded_in_child(
+        "from entroplab.cli import main\n"
+        "codes = [main(['graph', 'gen', '--n', '4', '--k', '1']),\n"
+        "         main(['catalog', 'gen', '--family', 'distinct-pairs', '--n', '2'])]\n"
+        "assert codes == [0, 0], codes" + probe
+    )
+    assert loaded <= baseline, sorted(loaded - baseline)
 
 
 def test_help_exits_zero():

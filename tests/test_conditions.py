@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from entroplab.conditions import (
+    Lemma3Audit,
+    Verdict,
     audit_lemma1,
     audit_lemma3,
     check_ci_given,
@@ -278,3 +280,34 @@ def test_lemma3_is_deterministic_for_a_seed():
     first = audit_lemma3(d, trials=20, seed=5)
     second = audit_lemma3(d, trials=20, seed=5)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# verdicts and result records
+
+
+def test_verdict_carries_a_witness_exactly_when_it_fails():
+    for holds, witness in ((True, {"a": "0"}), (False, None)):
+        with pytest.raises(LabError) as err:
+            Verdict("independence", holds, witness)
+        assert err.value.code == "BAD_PARAM"
+    v = Verdict("independence", False, {"a": "0"}, detail="why")
+    assert v == Verdict("independence", False, {"a": "0"}, "why")
+    assert v != Verdict("independence", False, {"a": "1"}, "why")
+    assert repr(v) == (
+        "Verdict(condition='independence', holds=False, witness={'a': '0'}, detail='why')"
+    )
+    assert hash(Verdict("functional", True)) == hash(Verdict("functional", True))
+
+
+def test_result_records_are_immutable():
+    verdict = check_independence(xor_triple(), "X", "Y")
+    report = check_pointwise_product(xor_triple())
+    audit = audit_lemma3(copied_bit(), trials=2, seed=1)
+    for record, name in ((verdict, "holds"), (report, "equality"), (audit, "failures")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del verdict.witness
+    assert Lemma3Audit(4).failures == ()
+    assert Lemma3Audit(4).ok

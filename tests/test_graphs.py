@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroplab.conditions import check_unique_common_value
 from entroplab.distributions import load_distribution
@@ -63,8 +65,51 @@ def random_graph(rng, max_side=4, max_edges=8, palette=None):
     return ColoredBipartiteGraph(left, right, edges)
 
 
+@st.composite
+def star_colored_graphs(draw):
+    """A graph of up to 4x4 vertices whose coloring has the star property by
+    construction: each edge takes a color none of whose edges shares a
+    biclique with it, or a new color while fewer than ``palette`` are in use
+    or when no old one fits.  Edges are weighted or not."""
+    palette = draw(st.integers(1, 4))
+    left = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    right = [f"y{i}" for i in range(draw(st.integers(1, 4)))]
+    cells = [(x, y) for x in left for y in right]
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    chosen = [cell for cell, kept in zip(cells, keep) if kept] or cells[:1]
+    present = set(chosen)
+    classes = []
+    edges = []
+    for x, y in chosen:
+        allowed = [c for c, members in enumerate(classes)
+                   if all(x != x2 and y != y2 and not ((x, y2) in present and (x2, y) in present)
+                          for x2, y2 in members)]
+        if len(classes) < palette or not allowed:
+            allowed.append(len(classes))
+        c = draw(st.sampled_from(allowed))
+        if c == len(classes):
+            classes.append([])
+        classes[c].append((x, y))
+        edges.append((x, y, str(c)))
+    weights = draw(st.none() | st.lists(st.integers(1, 9), min_size=len(edges),
+                                         max_size=len(edges)))
+    if weights is not None:
+        edges = [(*e, Fraction(w, sum(weights))) for e, w in zip(edges, weights)]
+    return ColoredBipartiteGraph(left, right, edges)
+
+
 # ---------------------------------------------------------------------------
 # graph type and JSON
+
+
+def test_edges_from_plain_tuples_and_immutable_records():
+    g = ColoredBipartiteGraph(("x1",), ("y1", "y2"), [("x1", "y1", "a"), ("x1", "y2", "b", None)])
+    assert g.edges == (Edge("x1", "y1", "a"), Edge("x1", "y2", "b"))
+    records = ((g.edges[0], "color"), (maximal_bicliques(g)[0], "left"),
+               (bcc_color_bound(g), "value"), (verify_matching_partition(g, []), "valid"))
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_graph_round_trip():
@@ -426,6 +471,30 @@ def test_exact_cover_matches_brute_force():
         cover = min_biclique_cover(g)
         assert len(cover) == smallest
         assert verify_biclique_cover(g, cover).holds
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_crown_cover_matches_closed_form(n):
+    # G(n,1) is the crown graph: K_{n,n} minus a perfect matching.  Its
+    # biclique cover number is min{k : C(k, k//2) >= n} (de Caen, Gregory
+    # and Pullman 1981, through Sperner's theorem).
+    expected = next(k for k in itertools.count(1) if math.comb(k, k // 2) >= n)
+    g = gen_gnk(n, 1)
+    cover = min_biclique_cover(g, limit=len(g.edges))
+    assert len(cover) == expected
+    assert verify_biclique_cover(g, cover).holds
+
+
+@given(star_colored_graphs())
+@settings(max_examples=200, deadline=None)
+def test_dual_bound_never_exceeds_color_bound(g):
+    # Both are gated on the star property, and H(X,Y) - H(A) = H(X,Y|A) is at
+    # most log2 of the largest color class, so the cover search's root floor
+    # can leave the dual bound out.
+    assert check_property_star(g).holds
+    dual, color = bcc_dual_entropy_bound(g), bcc_color_bound(g)
+    assert dual.value <= color.value + 1e-12
+    assert dual.integer_bound <= color.integer_bound
 
 
 def test_g21_exact_cover_is_two():
