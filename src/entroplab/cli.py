@@ -16,7 +16,6 @@ Exit codes:
 
 import argparse
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -102,18 +101,12 @@ def _document(doc, exit_code=0) -> CommandOutcome:
 
 
 def _search_limit(flag, default: int) -> int:
-    """The edge cap of an exhaustive search: --limit, else ENTROPLAB_LIMIT,
-    else ``default``."""
-    raw = os.environ.get("ENTROPLAB_LIMIT") if flag is None else flag
-    if raw is None:
+    """The edge cap of an exhaustive search: --limit, else ``default``."""
+    if flag is None:
         return default
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise LabError("BAD_PARAM", f"ENTROPLAB_LIMIT={raw!r} is not an integer")
-    if limit < 0:
-        raise LabError("BAD_PARAM", f"the search limit must not be negative, got {limit}")
-    return limit
+    if flag < 0:
+        raise LabError("BAD_PARAM", f"the search limit must not be negative, got {flag}")
+    return flag
 
 
 def _read(path: str) -> str:
@@ -252,35 +245,26 @@ def _strictable(status: str, args) -> int:
 def _cmd_verify(args) -> CommandOutcome:
     d = _load_dist(args.dist)
     token = args.theorem
-    if token == "1":
-        cert = verify_theorem1(d)
-        return _document(cert.to_json_dict(), _strictable(cert.status, args))
-    if token == "2":
-        cert = verify_theorem2(d)
-        return _document(cert.to_json_dict(), _strictable(cert.status, args))
     if token == "lemma1":
         audit = audit_lemma1(d)
-        doc = audit.to_json_dict()
-        doc["fingerprint"] = d.fingerprint()
-        return _document(doc, 0 if audit.ok else 3)
-    if token == "lemma2":
-        cert = verify_lemma2(d)
-        return _document(cert.to_json_dict(), 0 if cert.status == PASS else 3)
-    # lemma3
-    seed = _require_flag(args.seed, "--seed")
-    if args.trials < 1:
-        raise LabError("BAD_PARAM", "--trials must be positive")
-    try:
-        audit = audit_lemma3(d, trials=args.trials, seed=seed)
-    except PreconditionFailed as exc:
-        doc = {"status": NOT_APPLICABLE, "witness": exc.witness}
-        return _document(doc, 1 if args.strict else 0)
-    doc = {
-        "status": PASS if audit.ok else FAIL,
-        "trials": audit.trials,
-        "failures": len(audit.failures),
-    }
-    return _document(doc, 0 if audit.ok else 3)
+        status = PASS if audit.ok else FAIL
+        doc = {**audit.to_json_dict(), "fingerprint": d.fingerprint()}
+    elif token == "lemma3":
+        seed = _require_flag(args.seed, "--seed")
+        if args.trials < 1:
+            raise LabError("BAD_PARAM", "--trials must be positive")
+        try:
+            audit = audit_lemma3(d, trials=args.trials, seed=seed)
+        except PreconditionFailed as exc:
+            status = NOT_APPLICABLE
+            doc = {"status": status, "witness": exc.witness}
+        else:
+            status = PASS if audit.ok else FAIL
+            doc = {"status": status, "trials": audit.trials, "failures": len(audit.failures)}
+    else:
+        cert = {"1": verify_theorem1, "2": verify_theorem2, "lemma2": verify_lemma2}[token](d)
+        status, doc = cert.status, cert.to_json_dict()
+    return _document(doc, _strictable(status, args))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +530,9 @@ def run(argv) -> CommandOutcome:
         if exc.witness is not None:
             doc["error"]["witness"] = exc.witness
         return _document(doc, exit_code=2)
+    except MemoryError:
+        # inside the size budgets, but past the memory of this process
+        return _document({"error": {"code": "TOO_LARGE", "message": "out of memory"}}, 2)
 
 
 def main(argv=None) -> int:

@@ -7,11 +7,11 @@ own lowest-terms denominator.  Marginalization, conditioning and the
 conditional-independence fork stay exact on those integers, so support
 predicates and product identities are decided by integer
 cross-multiplication.  ``fractions.Fraction`` appears only at the edges:
-mass strings other than plain ``n/d``, the public ``atoms``,
-``table()`` and ``prob()`` views (made on each access, never cached), and
-the power-sum certificates.  Information measures are returned in bits
-(base-2 logarithm, double precision).  ``TOLERANCE`` is the absolute slack
-used wherever two floating-point quantities are compared.
+mass strings other than plain ``n/d``, the public ``atoms`` view (made on
+each access, never cached), and the power-sum certificates.  Information
+measures are returned in bits (base-2 logarithm, double precision).
+``TOLERANCE`` is the absolute slack used wherever two floating-point
+quantities are compared.
 
 The JSON wire form is::
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
@@ -43,6 +44,11 @@ from typing import Iterable, Iterator
 from .errors import LabError
 
 TOLERANCE = 1e-9
+
+# Fraction expands a decimal exponent into a power of ten before any size
+# check, so one past Python's default int-to-str digit limit is refused.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 # Canonical role order, used when an extension inserts a new role column
 # into an existing distribution.  A role a distribution lacks reads as the
@@ -64,6 +70,10 @@ def as_fraction(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        exponent = match[1].replace("_", "").lstrip("0") if match else ""
+        if len(exponent) > 4 or int(exponent or 0) > MAX_EXPONENT:
+            raise LabError("SCHEMA_ERROR", f"decimal exponent of {value!r} exceeds {MAX_EXPONENT}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -78,7 +88,10 @@ def _ratio(value: object) -> tuple[int, int]:
     if type(value) is str:
         num, slash, den = value.partition("/")
         if slash and num.isdigit() and den.isdigit() and num.isascii() and den.isascii():
-            num, den = int(num), int(den)
+            try:
+                num, den = int(num), int(den)
+            except ValueError:  # past the digit limit: as_fraction refuses it
+                den = 0
             if den:
                 g = math.gcd(num, den)
                 return num // g, den // g
@@ -105,6 +118,14 @@ def _common(nums: Iterable[int], dens: list[int]) -> tuple[list[int], int]:
     lcm = math.lcm(*distinct)
     scale = {den: lcm // den for den in distinct}
     return [num * scale[den] for num, den in zip(nums, dens)], lcm
+
+
+def _rational_text(q: Fraction) -> str:
+    # str(q), or its size when a part has too many digits to print
+    try:
+        return str(q)
+    except ValueError:
+        return f"a rational of {q.numerator.bit_length()}/{q.denominator.bit_length()} bits"
 
 
 def _plog2(count: int, den: int) -> float:
@@ -202,14 +223,13 @@ class JointDistribution:
             if type(n) is not int:
                 raise LabError("SCHEMA_ERROR", f"count {n!r} of {outcome} is not an integer")
             if n < 0:
-                mass = Fraction(n, denominator)
+                mass = _rational_text(Fraction(n, denominator))
                 raise LabError("NEGATIVE_PROB", f"atom {outcome} has mass {mass}")
             counts[outcome] = n
         total = sum(counts.values())
         if total != denominator:
-            raise LabError(
-                "SUM_NOT_ONE", f"atom masses sum to {Fraction(total, denominator)}, not 1"
-            )
+            total = _rational_text(Fraction(total, denominator))
+            raise LabError("SUM_NOT_ONE", f"atom masses sum to {total}, not 1")
         g = _gcd_all(denominator, counts.values())
         if g > 1 or 0 in counts.values():
             counts = {outcome: n // g for outcome, n in counts.items() if n}
@@ -257,9 +277,10 @@ class JointDistribution:
 
     def _table(self, variables: Iterable[str] | str) -> tuple[Counts, int]:
         """The marginal over ``variables`` as ``(counts, denominator)``, the
-        counts integers over the table's own lowest-terms denominator.
-        Cached; treat it as read-only.  See ``table`` for the key order and
-        for missing roles."""
+        counts integers over the table's own lowest-terms denominator, keyed
+        in order of first occurrence among the atoms.  Cached; treat it as
+        read-only.  A canonical role the distribution lacks reads as a
+        constant ``"*"`` column; any other unknown name raises UNKNOWN_VARIABLE."""
         names = _as_names(variables)
         cached = self._tables.get(names)
         if cached is not None:
@@ -300,17 +321,8 @@ class JointDistribution:
         self._tables[names] = (counts, den)
         return counts, den
 
-    def table(self, variables: Iterable[str] | str = ()) -> dict[Outcome, Fraction]:
-        """Exact marginal table over the given variables (empty tuple allowed,
-        yielding the trivial table), as Fractions made afresh on each call.
-        A canonical role the distribution lacks reads as a constant ``"*"``
-        column; any other unknown name raises UNKNOWN_VARIABLE.  Keys come in
-        order of first occurrence among the atoms."""
-        counts, den = self._table(variables)
-        return {key: Fraction(n, den) for key, n in counts.items()}
-
     def fibres(self, group, rest) -> dict[Outcome, list[Outcome]]:
-        """The support of ``table(group + rest)`` split by its ``group`` part:
+        """The support of ``_table(group + rest)`` split by its ``group`` part:
         each group cell, in sorted order, maps to the sorted ``rest`` cells it
         occurs with.  Built afresh from the cached table on every call: kept,
         the map of a fine grouping would cost as much memory as the table."""
@@ -334,12 +346,6 @@ class JointDistribution:
     def alphabet(self, variable: str) -> list[Symbol]:
         """Sorted support values of one variable."""
         return sorted(k[0] for k in self._table((variable,))[0])
-
-    def prob(self, assignment: Mapping[str, Symbol]) -> Fraction:
-        """Exact marginal probability of a partial assignment."""
-        names = tuple(sorted(assignment))
-        counts, den = self._table(names)
-        return Fraction(counts.get(tuple(assignment[n] for n in names), 0), den)
 
     # ------------------------------------------------------------------
     # core operations

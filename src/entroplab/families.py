@@ -72,6 +72,14 @@ def _set_label(items) -> str:
     return "{%s}" % ",".join(str(i) for i in sorted(items))
 
 
+def _disjoint_set_atoms(n: int, k: int):
+    # (union, X, Y) labels of the ordered pairs of disjoint k-subsets of {1..n}
+    universe = range(1, n + 1)
+    for xs in itertools.combinations(universe, k):
+        for ys in itertools.combinations([i for i in universe if i not in xs], k):
+            yield _set_label(xs + ys), _set_label(xs), _set_label(ys)
+
+
 def gen_distinct_pairs(n: int) -> JointDistribution:
     """Uniform ordered pair (X, Y) of distinct values in {1..n}; A is the
     unordered pair, so A determines {X, Y} but not which is which."""
@@ -101,13 +109,7 @@ def gen_disjoint_sets(n: int, k: int) -> JointDistribution:
             f"disjoint-sets ({n},{k}) would enumerate {count} atoms;"
             " use disjoint_sets_split_gap for the closed form"
         )
-    universe = range(1, n + 1)
-    atoms = {}
-    for xs in itertools.combinations(universe, k):
-        rest = [i for i in universe if i not in xs]
-        for ys in itertools.combinations(rest, k):
-            atoms[(_set_label(xs + ys), _set_label(xs), _set_label(ys))] = 1
-    return JointDistribution(("A", "X", "Y"), atoms, count)
+    return JointDistribution(("A", "X", "Y"), dict.fromkeys(_disjoint_set_atoms(n, k), 1), count)
 
 
 def disjoint_sets_split_gap(n: int, k: int) -> float:

@@ -30,9 +30,11 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .conditions import Verdict
-from .distributions import JointDistribution, TOLERANCE, _common, _ratio, as_fraction
+from .distributions import (
+    JointDistribution, TOLERANCE, _common, _ratio, _rational_text, as_fraction,
+)
 from .errors import LabError, PreconditionFailed, TooLarge
-from .families import ATOM_BUDGET
+from .families import ATOM_BUDGET, _disjoint_set_atoms, _set_label
 from .inequalities import verify_theorem1
 
 PROPERTY_STAR = "property-star"
@@ -95,7 +97,7 @@ class ColoredBipartiteGraph:
             if any(e.weight <= 0 for e in weighted):
                 raise LabError("NEGATIVE_PROB", "edge weights must be positive")
             if total != 1:
-                raise LabError("SUM_NOT_ONE", f"edge weights sum to {total}")
+                raise LabError("SUM_NOT_ONE", f"edge weights sum to {_rational_text(total)}")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", tuple(norm))
@@ -243,16 +245,8 @@ def gen_gnk(n: int, k: int) -> ColoredBipartiteGraph:
     edge_count = math.comb(n, k) * math.comb(n - k, k)
     if edge_count > ATOM_BUDGET:
         raise TooLarge(f"G({n},{k}) would enumerate {edge_count} edges")
-    labels = ["{%s}" % ",".join(str(i) for i in c)
-              for c in itertools.combinations(range(1, n + 1), k)]
-    subsets = {lbl: frozenset(c)
-               for lbl, c in zip(labels, itertools.combinations(range(1, n + 1), k))}
-    edges = []
-    for x in labels:
-        for y in labels:
-            if not (subsets[x] & subsets[y]):
-                union = "{%s}" % ",".join(str(i) for i in sorted(subsets[x] | subsets[y]))
-                edges.append(Edge(x, y, union))
+    labels = [_set_label(c) for c in itertools.combinations(range(1, n + 1), k)]
+    edges = [Edge(x, y, union) for union, x, y in _disjoint_set_atoms(n, k)]
     return ColoredBipartiteGraph(labels, labels, edges)
 
 
@@ -551,13 +545,16 @@ def _require(verdict: Verdict):
         )
 
 
+def _entropy_floor(d: JointDistribution) -> float:
+    # the cover-size floor 2^((H(A|X)+H(A|Y)-H(A))/2) of an (A, X, Y) distribution
+    return 2.0 ** ((d.cond_entropy("A", "X") + d.cond_entropy("A", "Y") - d.entropy("A")) / 2)
+
+
 def bcc_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
     """Cover-size floor 2^((H(A|X)+H(A|Y)-H(A))/2) under the forced-corner
     property."""
     _require(check_property_doublestar(g))
-    d = edge_distribution(g)
-    exponent = (d.cond_entropy("A", "X") + d.cond_entropy("A", "Y") - d.entropy("A")) / 2
-    value = 2.0**exponent
+    value = _entropy_floor(edge_distribution(g))
     return BoundReport(
         "entropy", value, max(1, math.ceil(value - TOLERANCE)), None, PROPERTY_DOUBLESTAR
     )
@@ -700,11 +697,6 @@ def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> li
     return [cliques[i] for i in best]
 
 
-def bcc_exact(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> int:
-    """Exact biclique covering number at desk scale."""
-    return len(min_biclique_cover(g, limit))
-
-
 # ---------------------------------------------------------------------------
 # cover-index extension
 
@@ -769,7 +761,7 @@ def extend_with_cover_index(g: ColoredBipartiteGraph, cover) -> ZExtensionReport
         - ext.cond_entropy("A", ("X", "Z"))
         - ext.cond_entropy("A", ("Y", "Z"))
     )
-    floor = 2.0 ** ((d.cond_entropy("A", "X") + d.cond_entropy("A", "Y") - d.entropy("A")) / 2)
+    floor = _entropy_floor(d)
     statuses = tuple(
         verify_theorem1(ext.condition({"Z": str(i)})).status for i in range(len(cover))
     )

@@ -26,7 +26,7 @@ of the marginal tables: each reciprocal 1/p is carried as an integer over
 the lcm of its table's counts, the constant denominators are factored out,
 and the power sum becomes a Fraction, in lowest terms, only at the end.  A
 missing B column reads as a constant variable throughout (see
-``JointDistribution.table``).
+``JointDistribution._table``).
 
 Verifier statuses: PASS (hypothesis holds and every assertion checks out),
 NOT_APPLICABLE (the hypothesis fails, with a witness), and FAIL, which

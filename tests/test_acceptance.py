@@ -128,9 +128,9 @@ def test_criterion_06_field_lines_q4():
         assert product.holds and product.equality
         assert d.mutual_info("X", "Y") >= 0.01
         uniform = gen_field_lines(2, 0)
-        assert uniform.prob({"A": "(0,0)"}) == Fraction(1, 16)
-        assert uniform.prob({"A": "(0,0)", "X": "(0,0)"}) == Fraction(1, 32)
-        assert uniform.prob({"X": "(0,0)"}) == Fraction(1, 8)
+        assert uniform.marginal("A").atoms[("(0,0)",)] == Fraction(1, 16)
+        assert uniform.marginal(("A", "X")).atoms[("(0,0)", "(0,0)")] == Fraction(1, 32)
+        assert uniform.marginal("X").atoms[("(0,0)",)] == Fraction(1, 8)
         for seed in range(100):
             ext = extend_with_random_B(d, 1 + seed % 3, seed)
             cert = verify_theorem2(ext)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from entroplab import cli
 from entroplab.cli import run
 from entroplab.distributions import JointDistribution, load_distribution
 from entroplab.families import gen_distinct_pairs, sample_cond2c
@@ -314,10 +315,9 @@ def test_graph_min_partition(graph_file):
     assert doc == {"K": 10, "L": 3, "R": 3, "product_bound_holds": True}
 
 
-def test_graph_limit_env_and_flag(monkeypatch, graph_file):
+def test_graph_limit_env_and_flag(graph_file):
     path = graph_file(gen_gnk(4, 1))
-    monkeypatch.setenv("ENTROPLAB_LIMIT", "5")
-    outcome = invoke("graph", "min-partition", "--graph", path)
+    outcome = invoke("graph", "min-partition", "--graph", path, "--limit", "5")
     assert outcome.exit_code == 2
     assert json.loads(outcome.text)["error"]["code"] == "TOO_LARGE"
     code, doc = invoke_json("graph", "min-partition", "--graph", path, "--limit", "20")
@@ -392,6 +392,15 @@ def test_malformed_file_exits_two(tmp_path):
     assert invoke("info", "report", "--dist", str(path)).exit_code == 2
 
 
+def _one_atom(p):
+    return json.dumps({"variables": ["A"], "atoms": [{"values": {"A": "a"}, "p": p}]})
+
+
+def _one_edge(w):
+    edge = {"x": "x1", "y": "y1", "color": "c", "w": w}
+    return json.dumps({"left": ["x1"], "right": ["y1"], "edges": [edge]})
+
+
 @pytest.mark.parametrize(
     "argv, files, env, code",
     [
@@ -410,14 +419,32 @@ def test_malformed_file_exits_two(tmp_path):
         (("graph", "z-extend", "--graph", "@g", "--cover", "@c", "--out", "@no/z.json"),
          {}, {}, "IO_ERROR"),
         (("graph", "min-partition", "--graph", "@g", "--limit", "-1"), {}, {}, "BAD_PARAM"),
-        (("graph", "bcc", "--graph", "@g", "--method", "exact"),
-         {}, {"ENTROPLAB_LIMIT": "-5"}, "BAD_PARAM"),
+        (("graph", "bcc", "--graph", "@g", "--method", "exact", "--limit", "-5"),
+         {}, {}, "BAD_PARAM"),
         (("verify", "--dist", "@d", "--theorem", "lemma3", "--trials", "-3", "--seed", "1"),
          {"d": sample_cond2c(3, (2, 2, 2, 2)).dumps()}, {}, "BAD_PARAM"),
         (("verify", "--dist", "@d", "--theorem", "lemma3", "--trials", "0", "--seed", "1"),
          {"d": sample_cond2c(3, (2, 2, 2, 2)).dumps()}, {}, "BAD_PARAM"),
         (("graph", "gen", "--n", "10000", "--k", "1"), {}, {}, "TOO_LARGE"),
         (("graph", "gen", "--n", "30", "--k", "5"), {}, {}, "TOO_LARGE"),
+        # masses, weights and --delta past the int digit limit, or with an
+        # exponent that Fraction would expand into a huge power of ten
+        (("info", "report", "--dist", "@bad"),
+         {"bad": _one_atom("7" * 4400 + "/" + "9" * 4400)}, {}, "SCHEMA_ERROR"),
+        (("info", "report", "--dist", "@bad"), {"bad": _one_atom("1e-100000000")}, {},
+         "SCHEMA_ERROR"),
+        (("info", "report", "--dist", "@bad"), {"bad": _one_atom("1E+99999")}, {},
+         "SCHEMA_ERROR"),
+        (("info", "report", "--dist", "@bad"), {"bad": _one_atom("1e-4300")}, {}, "SUM_NOT_ONE"),
+        (("info", "report", "--dist", "@bad"), {"bad": _one_atom("-1e-4300")}, {},
+         "NEGATIVE_PROB"),
+        (("graph", "bcc", "--graph", "@bad"), {"bad": _one_edge("1e-100000000")}, {},
+         "SCHEMA_ERROR"),
+        (("graph", "bcc", "--graph", "@bad"), {"bad": _one_edge("1e-1_000_000")}, {},
+         "SCHEMA_ERROR"),
+        (("graph", "bcc", "--graph", "@bad"), {"bad": _one_edge("1e-4300")}, {}, "SUM_NOT_ONE"),
+        (("catalog", "gen", "--family", "field-lines", "--q-exp", "2", "--delta", "1e-100000000"),
+         {}, {}, "SCHEMA_ERROR"),
     ],
 )
 def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):
@@ -434,6 +461,17 @@ def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, fil
     outcome = invoke(*(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
     assert outcome.exit_code == 2
     assert json.loads(outcome.text)["error"]["code"] == code
+
+
+def test_memory_error_exits_two_as_too_large(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gen_field_lines", exhausted)
+    code, doc = invoke_json("catalog", "gen", "--family", "field-lines", "--q-exp", "5",
+                            "--delta", "1/2", "--b-size", "2", "--seed", "1")
+    assert code == 2
+    assert doc["error"]["code"] == "TOO_LARGE"
 
 
 def test_exact_cover_ignores_hash_seed(graph_file):

@@ -146,20 +146,20 @@ def test_gf_field_axioms(k_exp, data):
 
 def test_field_lines_exact_marginals_q4():
     d = gen_field_lines(2, Fraction(1, 2))
-    assert set(d.table(("A",)).values()) == {Fraction(1, 16)}
-    assert set(d.table(("A", "X")).values()) == {Fraction(1, 32)}
-    assert set(d.table(("A", "Y")).values()) == {Fraction(1, 32)}
-    assert set(d.table(("X",)).values()) == {Fraction(1, 8)}
-    assert set(d.table(("Y",)).values()) == {Fraction(1, 8)}
+    assert set(d.marginal(("A",)).atoms.values()) == {Fraction(1, 16)}
+    assert set(d.marginal(("A", "X")).atoms.values()) == {Fraction(1, 32)}
+    assert set(d.marginal(("A", "Y")).atoms.values()) == {Fraction(1, 32)}
+    assert set(d.marginal(("X",)).atoms.values()) == {Fraction(1, 8)}
+    assert set(d.marginal(("Y",)).atoms.values()) == {Fraction(1, 8)}
 
 
 def test_field_lines_marginals_hold_for_any_parameters():
     for k_exp, delta in ((2, 0), (2, Fraction(-1, 3)), (3, Fraction(1, 2)), (3, Fraction(7, 8))):
         d = gen_field_lines(k_exp, delta)
         q = 1 << k_exp
-        assert set(d.table(("A", "X")).values()) == {Fraction(2, q**3)}
-        assert set(d.table(("X",)).values()) == {Fraction(2, q**2)}
-        assert set(d.table(("A",)).values()) == {Fraction(1, q**2)}
+        assert set(d.marginal(("A", "X")).atoms.values()) == {Fraction(2, q**3)}
+        assert set(d.marginal(("X",)).atoms.values()) == {Fraction(2, q**2)}
+        assert set(d.marginal(("A",)).atoms.values()) == {Fraction(1, q**2)}
 
 
 def test_field_lines_support_saturation_and_product_equality():
@@ -182,7 +182,7 @@ def test_field_lines_correlation_is_tunable():
 def test_field_lines_uniform_coupling_masses():
     flat = gen_field_lines(2, 0)
     assert set(flat.atoms.values()) == {Fraction(1, 64)}
-    assert set(flat.table(("X", "Y")).values()) == {Fraction(1, 64)}
+    assert set(flat.marginal(("X", "Y")).atoms.values()) == {Fraction(1, 64)}
 
 
 def test_field_lines_satisfy_unique_common_value():
