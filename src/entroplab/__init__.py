@@ -5,158 +5,10 @@ distributions, decides support and product conditions that gate the
 conditional Ingleton-type inequalities, certifies the inequalities with
 exact rational error terms, and connects the entropy machinery to
 biclique covers of colored bipartite graphs.
+
+Every name is imported from its submodule (``entroplab.distributions``,
+``conditions``, ``inequalities``, ``families``, ``graphs``, ``errors``,
+``cli``); importing the package itself loads none of them.
 """
 
-from .conditions import (
-    COND_CI_GIVEN,
-    COND_FUNCTIONAL,
-    COND_INDEPENDENCE,
-    COND_POINTWISE_PRODUCT,
-    COND_SUPPORT_SATURATION,
-    COND_UNIQUE_COMMON_VALUE,
-    Lemma1Audit,
-    Lemma3Audit,
-    PointwiseProductReport,
-    Verdict,
-    audit_lemma1,
-    audit_lemma3,
-    check_ci_given,
-    check_functional,
-    check_independence,
-    check_pointwise_product,
-    check_support_saturation,
-    check_unique_common_value,
-)
-from .distributions import (
-    JointDistribution,
-    TOLERANCE,
-    as_fraction,
-    build_markov_fork,
-    info_report,
-    load_distribution,
-)
-from .errors import LabError, PreconditionFailed, TooLarge
-from .families import (
-    disjoint_sets_split_gap,
-    extend_with_random_B,
-    gen_distinct_pairs,
-    gen_disjoint_sets,
-    gen_field_lines,
-    sample_cond2c,
-    sample_random_distribution,
-)
-from .graphs import (
-    Biclique,
-    ColoredBipartiteGraph,
-    Edge,
-    ZExtensionReport,
-    bcc_color_bound,
-    bcc_dual_entropy_bound,
-    bcc_entropy_bound,
-    check_property_doublestar,
-    check_property_star,
-    corollary_bound_check,
-    edge_distribution,
-    extend_with_cover_index,
-    gen_gnk,
-    load_graph,
-    maximal_bicliques,
-    min_biclique_cover,
-    min_valid_matching_partition,
-    verify_biclique_cover,
-    verify_matching_partition,
-)
-from .inequalities import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
-    ErrorTermCertificate,
-    GapReport,
-    Lemma2Certificate,
-    Theorem1Certificate,
-    Theorem2Certificate,
-    delta_prime_term,
-    delta_term,
-    entropy_split_gap,
-    gamma_term,
-    ingleton_gap,
-    reduced_ingleton_gap,
-    verify_lemma2,
-    verify_theorem1,
-    verify_theorem2,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "COND_CI_GIVEN",
-    "COND_FUNCTIONAL",
-    "COND_INDEPENDENCE",
-    "COND_POINTWISE_PRODUCT",
-    "COND_SUPPORT_SATURATION",
-    "COND_UNIQUE_COMMON_VALUE",
-    "FAIL",
-    "NOT_APPLICABLE",
-    "PASS",
-    "TOLERANCE",
-    "Biclique",
-    "ColoredBipartiteGraph",
-    "Edge",
-    "ErrorTermCertificate",
-    "GapReport",
-    "JointDistribution",
-    "LabError",
-    "Lemma1Audit",
-    "Lemma2Certificate",
-    "Lemma3Audit",
-    "PointwiseProductReport",
-    "PreconditionFailed",
-    "Theorem1Certificate",
-    "Theorem2Certificate",
-    "TooLarge",
-    "Verdict",
-    "ZExtensionReport",
-    "as_fraction",
-    "audit_lemma1",
-    "audit_lemma3",
-    "bcc_color_bound",
-    "bcc_dual_entropy_bound",
-    "bcc_entropy_bound",
-    "build_markov_fork",
-    "check_ci_given",
-    "check_functional",
-    "check_independence",
-    "check_pointwise_product",
-    "check_property_doublestar",
-    "check_property_star",
-    "check_support_saturation",
-    "check_unique_common_value",
-    "corollary_bound_check",
-    "delta_prime_term",
-    "delta_term",
-    "disjoint_sets_split_gap",
-    "edge_distribution",
-    "entropy_split_gap",
-    "extend_with_cover_index",
-    "extend_with_random_B",
-    "gamma_term",
-    "gen_distinct_pairs",
-    "gen_disjoint_sets",
-    "gen_field_lines",
-    "gen_gnk",
-    "info_report",
-    "ingleton_gap",
-    "load_distribution",
-    "load_graph",
-    "maximal_bicliques",
-    "min_biclique_cover",
-    "min_valid_matching_partition",
-    "reduced_ingleton_gap",
-    "sample_cond2c",
-    "sample_random_distribution",
-    "verify_biclique_cover",
-    "verify_lemma2",
-    "verify_matching_partition",
-    "verify_theorem1",
-    "verify_theorem2",
-]

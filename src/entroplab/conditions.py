@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .distributions import JointDistribution, Outcome, _as_names
+from .distributions import JointDistribution, Outcome, _as_names, _mass_text
 from .errors import LabError, PreconditionFailed
 
 COND_INDEPENDENCE = "independence"
@@ -196,7 +196,7 @@ class PointwiseProductReport(NamedTuple):
     def to_json_dict(self) -> dict:
         doc = self.verdict.to_json_dict()
         doc["equality"] = self.equality
-        doc["max_ratio"] = str(self.max_ratio)
+        doc["max_ratio"] = _mass_text(self.max_ratio.numerator, self.max_ratio.denominator)
         doc["argmax"] = self.argmax
         return doc
 
@@ -317,9 +317,6 @@ class Lemma3Audit(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {"trials": self.trials, "ok": self.ok, "failures": list(self.failures)}
 
 
 def audit_lemma3(d: JointDistribution, trials: int, seed: int) -> Lemma3Audit:

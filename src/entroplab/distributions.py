@@ -41,14 +41,14 @@ from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import LabError
+from .errors import LabError, TooLarge
 
 TOLERANCE = 1e-9
 
 # Fraction expands a decimal exponent into a power of ten before any size
 # check, so one past Python's default int-to-str digit limit is refused.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+_EXPONENT = re.compile(r"e[-+]?(\d+)\s*\Z", re.IGNORECASE)
 
 # Canonical role order, used when an extension inserts a new role column
 # into an existing distribution.  A role a distribution lacks reads as the
@@ -71,10 +71,12 @@ def as_fraction(value: object) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         match = _EXPONENT.search(value)
-        exponent = match[1].replace("_", "").lstrip("0") if match else ""
+        exponent = match[1].lstrip("0") if match else ""
         if len(exponent) > 4 or int(exponent or 0) > MAX_EXPONENT:
             raise LabError("SCHEMA_ERROR", f"decimal exponent of {value!r} exceeds {MAX_EXPONENT}")
         try:
+            if "_" in value:  # Fraction takes "_" separators only from Python 3.11 on
+                raise ValueError
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise LabError("SCHEMA_ERROR", f"cannot parse probability {value!r}") from exc
@@ -134,10 +136,19 @@ def _plog2(count: int, den: int) -> float:
     return count / den * (math.log2(count // g) - math.log2(den // g))
 
 
-def _mass_text(count: int, den: int) -> str:
-    # str(Fraction(count, den)), without making the Fraction
-    g = math.gcd(count, den)
-    return f"{count // g}/{den // g}" if den != g else str(count // g)
+def _mass_text(num: int, den: int) -> str:
+    # str(Fraction(num, den)), without making the Fraction: the one emitter
+    # of masses, power sums and ratios.  A part past Python's int-to-str
+    # digit limit cannot print, which makes the request too large.
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    try:
+        return f"{num}/{den}" if den != 1 else str(num)
+    except ValueError:
+        raise TooLarge(
+            f"a rational of {num.bit_length()}/{den.bit_length()} bits"
+            " has too many digits to print"
+        ) from None
 
 
 def _inverses(counts: Counts) -> tuple[dict[Outcome, int], int]:

@@ -249,6 +249,9 @@ def extend_with_random_B(d: JointDistribution, b_size: int, seed: int) -> JointD
         raise LabError("BAD_PARAM", f"b_size must be a positive integer, got {b_size!r}")
     if "B" in d.variables:
         raise LabError("BAD_PARAM", "distribution already has a B variable")
+    count = len(d.counts) * b_size
+    if count > ATOM_BUDGET:
+        raise TooLarge(f"a B column of size {b_size} would make {count} atoms")
     rng = random.Random(seed)
     variables = _insert_by_role(d.variables, "B")
     at = variables.index("B")

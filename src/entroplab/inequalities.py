@@ -50,6 +50,7 @@ from .distributions import (
     TOLERANCE,
     JointDistribution,
     _inverses,
+    _mass_text,
     log2_fraction,
 )
 from .errors import LabError, PreconditionFailed
@@ -91,7 +92,8 @@ class ErrorTermCertificate(NamedTuple):
         return self.power_sum <= 1
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "power_sum": str(self.power_sum), "bits": self.bits}
+        power_sum = _mass_text(self.power_sum.numerator, self.power_sum.denominator)
+        return {"kind": self.kind, "power_sum": power_sum, "bits": self.bits}
 
 
 def _certificate(kind: str, power_sum: Fraction) -> ErrorTermCertificate:
@@ -268,9 +270,8 @@ def verify_theorem1(d: JointDistribution) -> Theorem1Certificate:
         return Theorem1Certificate(NOT_APPLICABLE, condition)
     gap = entropy_split_gap(d)
     gamma = gamma_term(d)
-    power_ok = gamma.power_sum <= 1
-    ok = gap.gap >= -TOLERANCE and power_ok
-    return Theorem1Certificate(PASS if ok else FAIL, condition, gap, gamma, power_ok)
+    ok = gap.holds and gamma.at_most_one
+    return Theorem1Certificate(PASS if ok else FAIL, condition, gap, gamma, gamma.at_most_one)
 
 
 class Theorem2Certificate(NamedTuple):
@@ -313,7 +314,7 @@ def verify_theorem2(d: JointDistribution) -> Theorem2Certificate:
     if pointwise.holds:
         # the product inequality everywhere forces equality everywhere, and
         # the reduced bound holds without any error term
-        plain = gap.gap >= -TOLERANCE
+        plain = gap.holds
         ok = ok and plain and pointwise.equality
     return Theorem2Certificate(
         PASS if ok else FAIL, condition, gap, delta_prime, pointwise, slack, plain

@@ -13,37 +13,43 @@ from fractions import Fraction
 
 import pytest
 
-from entroplab import (
-    ColoredBipartiteGraph,
-    Edge,
+from entroplab.cli import _sparse_sample, run
+from entroplab.conditions import (
     audit_lemma1,
     audit_lemma3,
-    bcc_color_bound,
-    bcc_dual_entropy_bound,
-    bcc_entropy_bound,
     check_pointwise_product,
     check_support_saturation,
     check_unique_common_value,
+)
+from entroplab.distributions import load_distribution
+from entroplab.families import (
     disjoint_sets_split_gap,
-    entropy_split_gap,
-    extend_with_cover_index,
     extend_with_random_B,
-    gamma_term,
     gen_disjoint_sets,
     gen_distinct_pairs,
     gen_field_lines,
+    sample_cond2c,
+)
+from entroplab.graphs import (
+    ColoredBipartiteGraph,
+    Edge,
+    bcc_color_bound,
+    bcc_dual_entropy_bound,
+    bcc_entropy_bound,
+    extend_with_cover_index,
     gen_gnk,
-    load_distribution,
+    iter_valid_matching_partitions,
     min_biclique_cover,
     min_valid_matching_partition,
-    sample_cond2c,
-    verify_lemma2,
     verify_matching_partition,
+)
+from entroplab.inequalities import (
+    entropy_split_gap,
+    gamma_term,
+    verify_lemma2,
     verify_theorem1,
     verify_theorem2,
 )
-from entroplab.cli import _sparse_sample, run
-from entroplab.graphs import iter_valid_matching_partitions
 
 TOL = 1e-9
 

@@ -392,8 +392,27 @@ def test_malformed_file_exits_two(tmp_path):
     assert invoke("info", "report", "--dist", str(path)).exit_code == 2
 
 
+def _atoms(names, masses):
+    # one atom per (values, mass) pair, the values string one symbol per name
+    atoms = [{"values": dict(zip(names, values)), "p": p} for values, p in masses]
+    return json.dumps({"variables": list(names), "atoms": atoms})
+
+
 def _one_atom(p):
-    return json.dumps({"variables": ["A"], "atoms": [{"values": {"A": "a"}, "p": p}]})
+    return _atoms("A", [("a", p)])
+
+
+# Two masses that parse but print over a denominator of 4,301 digits, and
+# five masses of at most 2,801 digits whose power sums and pointwise ratio
+# need more than 5,000: each input loads, and a value too long to print
+# exits 2 instead of crashing.
+_WIDE_PAIR = _atoms("A", [("a", "1e-4300"), ("b", "0." + "9" * 4300)])
+_NEAR = [Fraction(1, 10**1400 + 1), Fraction(1, 10**1400 + 3)]
+_WIDE_SUMS = _atoms(
+    "ABXY",
+    zip(["0011", "0100", "1001", "1010", "1011"],
+        map(str, _NEAR + [(1 - sum(_NEAR)) / 3] * 3)),
+)
 
 
 def _one_edge(w):
@@ -445,6 +464,20 @@ def _one_edge(w):
         (("graph", "bcc", "--graph", "@bad"), {"bad": _one_edge("1e-4300")}, {}, "SUM_NOT_ONE"),
         (("catalog", "gen", "--family", "field-lines", "--q-exp", "2", "--delta", "1e-100000000"),
          {}, {}, "SCHEMA_ERROR"),
+        (("info", "report", "--dist", "@bad"), {"bad": _WIDE_PAIR}, {}, "TOO_LARGE"),
+        (("check", "--all", "--dist", "@bad"), {"bad": _WIDE_PAIR}, {}, "TOO_LARGE"),
+        (("catalog", "gen", "--family", "field-lines", "--q-exp", "2",
+          "--delta", "1/1" + "0" * 4299), {}, {}, "TOO_LARGE"),
+        (("verify", "--theorem", "lemma2", "--dist", "@bad"), {"bad": _WIDE_SUMS}, {},
+         "TOO_LARGE"),
+        (("info", "report", "--dist", "@bad"), {"bad": _WIDE_SUMS}, {}, "TOO_LARGE"),
+        (("check", "--all", "--dist", "@bad"), {"bad": _WIDE_SUMS}, {}, "TOO_LARGE"),
+        (("catalog", "gen", "--family", "distinct-pairs", "--n", "2", "--b-size", "500001",
+          "--seed", "1"), {}, {}, "TOO_LARGE"),
+        # "_" separators load from Python 3.11 on only, so they are refused
+        (("info", "report", "--dist", "@bad"),
+         {"bad": _atoms("A", [("a", "1e-1_0"), ("b", "9999999999/10000000000")])}, {},
+         "SCHEMA_ERROR"),
     ],
 )
 def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):
@@ -512,6 +545,12 @@ def test_startup_imports_stay_lean():
         "assert codes == [0, 0], codes" + probe
     )
     assert loaded <= baseline, sorted(loaded - baseline)
+    # the package root re-exports nothing, so importing it loads no submodule
+    submodules = _loaded_in_child(
+        "import json, sys, entroplab\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('entroplab.')]))"
+    )
+    assert submodules == set(), sorted(submodules)
 
 
 def test_help_exits_zero():

@@ -131,10 +131,11 @@ MASS_STRINGS = [
 @pytest.mark.parametrize("text", MASS_STRINGS)
 def test_mass_strings_parse_exactly_as_fraction_does(text):
     """Plain n/d strings skip Fraction on load; the accepted strings, their
-    values and the error codes must still be Fraction's on this interpreter
-    (which strings it accepts differs between Python versions)."""
+    values and the error codes must still be Fraction's on this interpreter,
+    except that "_" digit separators, which Fraction takes only from Python
+    3.11 on, are refused on every version."""
     try:
-        expected = Fraction(text)
+        expected = None if "_" in text else Fraction(text)
     except (ValueError, ZeroDivisionError):
         expected = None
     rest = Fraction(1, 2) if expected is None else 1 - expected
