@@ -100,6 +100,14 @@ def _document(doc, exit_code=0) -> CommandOutcome:
     return CommandOutcome(exit_code, json.dumps(doc, indent=2) + "\n")
 
 
+def _exit_code(failed=False, holds=True, strict=False) -> int:
+    """3 when a verifier failed, 1 when --strict was given and a checked
+    statement does not hold, 0 otherwise."""
+    if failed:
+        return 3
+    return 1 if strict and not holds else 0
+
+
 def _search_limit(flag, default: int) -> int:
     """The edge cap of an exhaustive search: --limit, else ``default``."""
     if flag is None:
@@ -226,20 +234,12 @@ def _cmd_check(args) -> CommandOutcome:
         raise LabError("BAD_PARAM", "pass --condition <id> or --all")
     verdicts = [_CONDITIONS[name](d).to_json_dict() for name in names]
     doc = {"fingerprint": d.fingerprint(), "verdicts": verdicts}
-    failed = [v for v in verdicts if not v["holds"]]
-    return _document(doc, exit_code=1 if (args.strict and failed) else 0)
+    holds = all(v["holds"] for v in verdicts)
+    return _document(doc, _exit_code(holds=holds, strict=args.strict))
 
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-def _strictable(status: str, args) -> int:
-    if status == FAIL:
-        return 3
-    if args.strict and status != PASS:
-        return 1
-    return 0
 
 
 def _cmd_verify(args) -> CommandOutcome:
@@ -264,7 +264,7 @@ def _cmd_verify(args) -> CommandOutcome:
     else:
         cert = {"1": verify_theorem1, "2": verify_theorem2, "lemma2": verify_lemma2}[token](d)
         status, doc = cert.status, cert.to_json_dict()
-    return _document(doc, _strictable(status, args))
+    return _document(doc, _exit_code(status == FAIL, status == PASS, args.strict))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def _cmd_fuzz(args) -> CommandOutcome:
         if status == FAIL and first_failure is None:
             first_failure = {"trial": trial, "fingerprint": rows[-1][1]}
     failures = counts.get(FAIL, 0)
-    exit_code = 3 if failures else 0
+    exit_code = _exit_code(failed=failures > 0)
     if args.csv:
         lines = ["trial,fingerprint,status"]
         lines += [f"{t},{fp},{status}" for t, fp, status in rows]
@@ -359,7 +359,7 @@ def _cmd_graph(args) -> CommandOutcome:
         doc = {"partition": report.to_json_dict(), "corollary": None}
         if report.valid:
             doc["corollary"] = corollary_bound_check(g, partition).to_json_dict()
-        return _document(doc, 1 if (args.strict and not report.valid) else 0)
+        return _document(doc, _exit_code(holds=report.valid, strict=args.strict))
     if action == "min-partition":
         k = min_valid_matching_partition(g, _search_limit(args.limit, PARTITION_SEARCH_LIMIT))
         left_min, right_min = _min_degrees(g)
@@ -369,13 +369,12 @@ def _cmd_graph(args) -> CommandOutcome:
             "R": right_min,
             "product_bound_holds": k >= left_min * right_min,
         }
-        return _document(doc, 0 if doc["product_bound_holds"] else 3)
+        return _document(doc, _exit_code(failed=not doc["product_bound_holds"]))
     if action == "verify-cover":
         cover = load_cover(_read(args.cover))
         verdict = verify_biclique_cover(g, cover)
-        return _document(
-            verdict.to_json_dict(), 1 if (args.strict and not verdict.holds) else 0
-        )
+        doc = verdict.to_json_dict()
+        return _document(doc, _exit_code(holds=verdict.holds, strict=args.strict))
     if action == "bcc":
         methods = args.method.split(",")
         doc = {}
@@ -406,8 +405,8 @@ def _cmd_graph(args) -> CommandOutcome:
     doc["fingerprint"] = report.distribution.fingerprint()
     if args.out:
         _write(args.out, report.distribution.dumps())
-    ok = report.split_holds and report.size_floor_holds
-    return _document(doc, 1 if (args.strict and not ok) else 0)
+    holds = report.split_holds and report.size_floor_holds
+    return _document(doc, _exit_code(holds=holds, strict=args.strict))
 
 
 # ---------------------------------------------------------------------------

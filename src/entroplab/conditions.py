@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .distributions import JointDistribution, Outcome, _as_names, _mass_text
+from .distributions import JointDistribution, Outcome, _as_names, _disjoint, _mass_text
 from .errors import LabError, PreconditionFailed
 
 COND_INDEPENDENCE = "independence"
@@ -33,36 +33,22 @@ COND_UNIQUE_COMMON_VALUE = "cond-2-C"
 COND_POINTWISE_PRODUCT = "pointwise-product"
 
 
-class Verdict:
+class _VerdictFields(NamedTuple):
+    condition: str
+    holds: bool
+    witness: dict | None = None
+    detail: str = ""
+
+
+class Verdict(_VerdictFields):
     """Outcome of one condition check; holds is False iff a witness exists."""
 
-    __slots__ = ("condition", "holds", "witness", "detail")
+    __slots__ = ()
 
-    def __init__(self, condition: str, holds: bool, witness: dict | None = None, detail: str = ""):
+    def __new__(cls, condition: str, holds: bool, witness: dict | None = None, detail: str = ""):
         if holds == (witness is not None):
             raise LabError("BAD_PARAM", "verdict must carry a witness exactly when it fails")
-        for name, value in zip(self.__slots__, (condition, holds, witness, detail)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Verdict is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.condition, self.holds, self.witness, self.detail)
-
-    def __eq__(self, other):
-        if not isinstance(other, Verdict):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        pairs = zip(self.__slots__, self._key())
-        return "Verdict(%s)" % ", ".join(f"{name}={value!r}" for name, value in pairs)
+        return super().__new__(cls, condition, holds, witness, detail)
 
     def to_json_dict(self) -> dict:
         doc = {"condition": self.condition, "holds": self.holds, "witness": self.witness}
@@ -92,9 +78,7 @@ def _check_ci(condition: str, d: JointDistribution, first, second, given) -> Ver
     x = _as_names(first)
     y = _as_names(second)
     a = _as_names(given)
-    for s, t in ((x, y), (x, a), (y, a)):
-        if set(s) & set(t):
-            raise LabError("OVERLAPPING_SETS", f"{s} and {t} overlap")
+    _disjoint(x, y, a)
     ta, den_a = d._table(a)
     tax, den_ax = d._table(a + x)
     tay, den_ay = d._table(a + y)
@@ -125,8 +109,7 @@ def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verd
     support determines exactly one value of ``target``."""
     t = _as_names(target)
     g = _as_names(given)
-    if set(t) & set(g):
-        raise LabError("OVERLAPPING_SETS", f"{t} and {g} overlap")
+    _disjoint(t, g)
     for cell, values in d.fibres(g, t).items():
         if len(values) > 1:
             witness = {name: val for name, val in zip(g, cell)}

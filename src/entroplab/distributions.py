@@ -10,8 +10,8 @@ cross-multiplication.  ``fractions.Fraction`` appears only at the edges:
 mass strings other than plain ``n/d``, the public ``atoms`` view (made on
 each access, never cached), and the power-sum certificates.  Information
 measures are returned in bits (base-2 logarithm, double precision).
-``TOLERANCE`` is the absolute slack used wherever two floating-point
-quantities are compared.
+``TOLERANCE`` is the absolute slack of every float comparison, applied
+through ``_at_least``.
 
 The JSON wire form is::
 
@@ -37,7 +37,7 @@ import warnings
 from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from itertools import groupby, repeat
+from itertools import combinations, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -149,6 +149,33 @@ def _mass_text(num: int, den: int) -> str:
             f"a rational of {num.bit_length()}/{den.bit_length()} bits"
             " has too many digits to print"
         ) from None
+
+
+def _at_least(value: float, bound: float = 0.0) -> bool:
+    # value >= bound, up to the float slack
+    return value >= bound - TOLERANCE
+
+
+def _disjoint(*groups: tuple[str, ...]) -> None:
+    # refuse variable groups that share a name, naming the first such pair
+    for s, t in combinations(groups, 2):
+        if set(s) & set(t):
+            raise LabError("OVERLAPPING_SETS", f"{s} and {t} overlap")
+
+
+def _record_json(record) -> dict:
+    # a NamedTuple record's fields in order: nested records through their
+    # own to_json_dict, Fractions as exact mass text, tuples as lists
+    doc = {}
+    for name, value in zip(record._fields, record):
+        if hasattr(value, "to_json_dict"):
+            value = value.to_json_dict()
+        elif isinstance(value, Fraction):
+            value = _mass_text(value.numerator, value.denominator)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[name] = value
+    return doc
 
 
 def _inverses(counts: Counts) -> tuple[dict[Outcome, int], int]:
@@ -437,8 +464,7 @@ class JointDistribution:
         """H(variables | given) = H(variables, given) - H(given)."""
         a = _as_names(variables)
         b = _as_names(given)
-        if set(a) & set(b):
-            raise LabError("OVERLAPPING_SETS", f"{a} and {b} overlap")
+        _disjoint(a, b)
         return self.entropy(a + b) - self.entropy(b)
 
     def mutual_info(self, first, second, given=()) -> float:
@@ -446,9 +472,7 @@ class JointDistribution:
         u = _as_names(first)
         v = _as_names(second)
         w = _as_names(given)
-        for s, t in ((u, v), (u, w), (v, w)):
-            if set(s) & set(t):
-                raise LabError("OVERLAPPING_SETS", f"{s} and {t} overlap")
+        _disjoint(u, v, w)
         return (
             self.entropy(u + w)
             + self.entropy(v + w)
@@ -633,9 +657,9 @@ def info_report(d: JointDistribution) -> dict[str, float]:
     m["I(A:B|Y)"] = d.mutual_info("A", "B", "Y")
     m["I(X:Y:A)"] = d.triple_mutual_info("X", "Y", "A")
     for key, value in m.items():
-        if key.startswith("H(") and value < -TOLERANCE:
+        if key.startswith("H(") and not _at_least(value):
             raise LabError("BAD_PARAM", f"negative entropy {key} = {value}")
     for key in ("I(X:Y)", "I(A:B)", "I(A:X)", "I(A:Y)", "I(X:Y|A)", "I(A:B|X)", "I(A:B|Y)"):
-        if m[key] < -TOLERANCE:
+        if not _at_least(m[key]):
             raise LabError("BAD_PARAM", f"negative mutual information {key}")
     return m

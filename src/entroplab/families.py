@@ -31,7 +31,6 @@ import math
 import random
 from fractions import Fraction
 
-from .conditions import check_unique_common_value
 from .distributions import JointDistribution, _common, _insert_by_role, as_fraction, log2_fraction
 from .errors import LabError, TooLarge
 
@@ -184,7 +183,7 @@ def sample_random_distribution(variables, sizes, seed: int) -> JointDistribution
         raise LabError("BAD_PARAM", f"alphabet sizes must be positive integers, got {sizes}")
     count = math.prod(sizes)
     if count > SAMPLER_ATOM_BUDGET:
-        raise LabError("BAD_PARAM", f"{count} atoms exceed the sampler budget")
+        raise TooLarge(f"{count} atoms exceed the sampler budget")
     rng = random.Random(seed)
     outcomes = list(itertools.product(*[[str(v) for v in range(s)] for s in sizes]))
     numerators = _numerators(rng, count)
@@ -198,47 +197,42 @@ def sample_cond2c(seed: int, sizes) -> JointDistribution:
     Cells of the X*Y grid are colored greedily in random order; a color is
     admitted only if no other color would end up sharing both a row and a
     column with it.  Atoms then land on a random subset of the colored
-    cells crossed with the B alphabet (support shrinking cannot reintroduce
-    a shared row-and-column pair), and the result is re-checked before it
-    is returned.
+    cells crossed with the B alphabet; dropping cells only shrinks each
+    color's rows and columns, so no two colors come to share both.
     """
     sizes = tuple(sizes)
     if len(sizes) != 4 or any(not isinstance(s, int) or s < 1 for s in sizes):
         raise LabError("BAD_PARAM", f"need four positive alphabet sizes (A,B,X,Y), got {sizes}")
     na, nb, nx, ny = sizes
     if na * nb * nx * ny > SAMPLER_ATOM_BUDGET:
-        raise LabError("BAD_PARAM", f"{na * nb * nx * ny} atoms exceed the sampler budget")
+        raise TooLarge(f"{na * nb * nx * ny} atoms exceed the sampler budget")
     rng = random.Random(seed)
     colors = [str(i) for i in range(na)]
     bs = [str(i) for i in range(nb)]
-    for _ in range(20):
-        cells = [(str(x), str(y)) for x in range(nx) for y in range(ny)]
-        rng.shuffle(cells)
-        rows = {a: set() for a in colors}
-        cols = {a: set() for a in colors}
-        assigned = []
-        for x, y in cells:
-            for a in rng.sample(colors, na):
-                new_rows = rows[a] | {x}
-                new_cols = cols[a] | {y}
-                clash = any(
-                    other != a and (new_rows & rows[other]) and (new_cols & cols[other])
-                    for other in colors
-                )
-                if not clash:
-                    rows[a], cols[a] = new_rows, new_cols
-                    assigned.append((a, x, y))
-                    break
-        support = [(a, b, x, y) for a, x, y in assigned for b in bs if rng.random() < 0.7]
-        if not support:
-            a, x, y = assigned[0]
-            support = [(a, bs[0], x, y)]
-        numerators = _numerators(rng, len(support))
-        atoms = dict(zip(support, numerators))
-        d = JointDistribution(("A", "B", "X", "Y"), atoms, sum(numerators))
-        if check_unique_common_value(d).holds:
-            return d
-    raise LabError("RETRY_EXHAUSTED", f"no admissible support after 20 attempts (seed {seed})")
+    cells = [(str(x), str(y)) for x in range(nx) for y in range(ny)]
+    rng.shuffle(cells)
+    rows = {a: set() for a in colors}
+    cols = {a: set() for a in colors}
+    assigned = []
+    for x, y in cells:
+        for a in rng.sample(colors, na):
+            new_rows = rows[a] | {x}
+            new_cols = cols[a] | {y}
+            clash = any(
+                other != a and (new_rows & rows[other]) and (new_cols & cols[other])
+                for other in colors
+            )
+            if not clash:
+                rows[a], cols[a] = new_rows, new_cols
+                assigned.append((a, x, y))
+                break
+    support = [(a, b, x, y) for a, x, y in assigned for b in bs if rng.random() < 0.7]
+    if not support:
+        a, x, y = assigned[0]
+        support = [(a, bs[0], x, y)]
+    numerators = _numerators(rng, len(support))
+    atoms = dict(zip(support, numerators))
+    return JointDistribution(("A", "B", "X", "Y"), atoms, sum(numerators))
 
 
 def extend_with_random_B(d: JointDistribution, b_size: int, seed: int) -> JointDistribution:

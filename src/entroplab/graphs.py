@@ -31,7 +31,8 @@ from typing import NamedTuple, Optional
 
 from .conditions import Verdict
 from .distributions import (
-    JointDistribution, TOLERANCE, _common, _ratio, _rational_text, as_fraction,
+    JointDistribution, TOLERANCE, _at_least, _common, _ratio, _rational_text, _record_json,
+    as_fraction,
 )
 from .errors import LabError, PreconditionFailed, TooLarge
 from .families import ATOM_BUDGET, _disjoint_set_atoms, _set_label
@@ -195,8 +196,7 @@ class Biclique(NamedTuple):
     def pairs(self):
         return itertools.product(self.left, self.right)
 
-    def to_json_dict(self) -> dict:
-        return {"left": list(self.left), "right": list(self.right)}
+    to_json_dict = _record_json
 
 
 def load_cover(doc) -> list[Biclique]:
@@ -205,8 +205,11 @@ def load_cover(doc) -> list[Biclique]:
     for row in doc["bicliques"]:
         if not isinstance(row, dict) or set(row) != {"left", "right"}:
             raise LabError("SCHEMA_ERROR", f"malformed biclique {row!r}")
-        cover.append(Biclique(_strings(row["left"], "biclique left side"),
-                              _strings(row["right"], "biclique right side")))
+        b = Biclique(_strings(row["left"], "biclique left side"),
+                     _strings(row["right"], "biclique right side"))
+        if any(len(set(side)) != len(side) for side in b):
+            raise LabError("SCHEMA_ERROR", f"biclique {row!r} repeats a vertex")
+        cover.append(b)
     return cover
 
 
@@ -250,11 +253,15 @@ def gen_gnk(n: int, k: int) -> ColoredBipartiteGraph:
     return ColoredBipartiteGraph(labels, labels, edges)
 
 
+def _require_edges(g: ColoredBipartiteGraph) -> None:
+    if not g.edges:
+        raise LabError("EMPTY_GRAPH", "no edges to draw from")
+
+
 def edge_distribution(g: ColoredBipartiteGraph) -> JointDistribution:
     """Pick an edge by weight (uniformly if unweighted): A is the color,
     X and Y the endpoints.  A is a function of (X, Y), so H(A|X,Y) = 0."""
-    if not g.edges:
-        raise LabError("EMPTY_GRAPH", "no edges to draw from")
+    _require_edges(g)
     if g.edges[0].weight is None:
         atoms = {(e.color, e.x, e.y): 1 for e in g.edges}
         return JointDistribution(("A", "X", "Y"), atoms, len(g.edges))
@@ -269,22 +276,17 @@ def edge_distribution(g: ColoredBipartiteGraph) -> JointDistribution:
 
 
 class MatchingPartitionReport(NamedTuple):
+    """Validity of a matching partition: K parts, L and R the least left
+    and right degrees."""
+
     valid: bool
-    k: int
-    left_min_degree: int
-    right_min_degree: int
+    K: int
+    L: int
+    R: int
     witness: Optional[dict] = None
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "K": self.k,
-            "L": self.left_min_degree,
-            "R": self.right_min_degree,
-            "witness": self.witness,
-            "detail": self.detail,
-        }
+    to_json_dict = _record_json
 
 
 def _min_degrees(g: ColoredBipartiteGraph) -> tuple[int, int]:
@@ -319,6 +321,8 @@ def verify_matching_partition(g: ColoredBipartiteGraph, partition) -> MatchingPa
         x, y = missing[0]
         return report(False, {"x": x, "y": y}, "edge missing from the partition")
     for i, part in enumerate(parts):
+        if not part:
+            return report(False, {"part": i}, "part is empty")
         lefts, rights = set(), set()
         for x, y in part:
             if x in lefts or y in rights:
@@ -342,24 +346,15 @@ def verify_matching_partition(g: ColoredBipartiteGraph, partition) -> MatchingPa
 
 
 class CorollaryCertificate(NamedTuple):
-    k: int
-    left_min_degree: int
-    right_min_degree: int
+    K: int
+    L: int
+    R: int
     product_bound_holds: bool
     entropy_floor_holds: Optional[bool]
     theorem1_status: Optional[str]
     measures: Optional[dict]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "K": self.k,
-            "L": self.left_min_degree,
-            "R": self.right_min_degree,
-            "product_bound_holds": self.product_bound_holds,
-            "entropy_floor_holds": self.entropy_floor_holds,
-            "theorem1_status": self.theorem1_status,
-            "measures": self.measures,
-        }
+    to_json_dict = _record_json
 
 
 def corollary_bound_check(g: ColoredBipartiteGraph, partition) -> CorollaryCertificate:
@@ -374,7 +369,7 @@ def corollary_bound_check(g: ColoredBipartiteGraph, partition) -> CorollaryCerti
     if not result.valid:
         raise PreconditionFailed(f"not a valid matching partition: {result.detail}",
                                  witness=result.witness)
-    k, left_min, right_min = result.k, result.left_min_degree, result.right_min_degree
+    k, left_min, right_min = result.K, result.L, result.R
     product_holds = k >= left_min * right_min
     if not g.edges:
         return CorollaryCertificate(k, left_min, right_min, product_holds, None, None, None)
@@ -394,9 +389,9 @@ def corollary_bound_check(g: ColoredBipartiteGraph, partition) -> CorollaryCerti
         "H(A|Y)": d.cond_entropy("A", "Y"),
     }
     floor = (
-        (left_min == 0 or measures["H(A|X)"] >= math.log2(left_min) - TOLERANCE)
-        and (right_min == 0 or measures["H(A|Y)"] >= math.log2(right_min) - TOLERANCE)
-        and math.log2(k) >= measures["H(A)"] - TOLERANCE
+        (left_min == 0 or _at_least(measures["H(A|X)"], math.log2(left_min)))
+        and (right_min == 0 or _at_least(measures["H(A|Y)"], math.log2(right_min)))
+        and _at_least(math.log2(k), measures["H(A)"])
     )
     return CorollaryCertificate(k, left_min, right_min, product_holds, floor,
                                 cert.status, measures)
@@ -534,8 +529,12 @@ class BoundReport(NamedTuple):
     exact: Optional[Fraction]
     requires: str
 
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "exact": None if self.exact is None else str(self.exact)}
+    to_json_dict = _record_json
+
+
+def _floor_report(name: str, value: float, exact, requires: str) -> BoundReport:
+    # a float cover-size floor and the least integer it certifies
+    return BoundReport(name, value, max(1, math.ceil(value - TOLERANCE)), exact, requires)
 
 
 def _require(verdict: Verdict):
@@ -554,9 +553,8 @@ def bcc_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
     """Cover-size floor 2^((H(A|X)+H(A|Y)-H(A))/2) under the forced-corner
     property."""
     _require(check_property_doublestar(g))
-    value = _entropy_floor(edge_distribution(g))
-    return BoundReport(
-        "entropy", value, max(1, math.ceil(value - TOLERANCE)), None, PROPERTY_DOUBLESTAR
+    return _floor_report(
+        "entropy", _entropy_floor(edge_distribution(g)), None, PROPERTY_DOUBLESTAR
     )
 
 
@@ -564,6 +562,7 @@ def bcc_color_bound(g: ColoredBipartiteGraph) -> BoundReport:
     """Largest color class: its edges pairwise refuse to share a biclique,
     so each needs its own."""
     _require(check_property_star(g))
+    _require_edges(g)
     top = max(len(edges) for edges in g.color_classes().values())
     return BoundReport("color", float(top), top, Fraction(top), PROPERTY_STAR)
 
@@ -584,9 +583,7 @@ def bcc_dual_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
     exact = None
     if len(counts) == 1 and all(e.weight is None for e in g.edges):
         exact = Fraction(len(g.edges), len(classes))
-    return BoundReport(
-        "dual-entropy", value, max(1, math.ceil(value - TOLERANCE)), exact, PROPERTY_STAR
-    )
+    return _floor_report("dual-entropy", value, exact, PROPERTY_STAR)
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +708,11 @@ class ZExtensionReport(NamedTuple):
 
     @property
     def split_holds(self) -> bool:
-        return self.split_slack >= -TOLERANCE
+        return _at_least(self.split_slack)
 
     @property
     def size_floor_holds(self) -> bool:
-        return self.cover_size >= self.size_floor - TOLERANCE
+        return _at_least(self.cover_size, self.size_floor)
 
     def to_json_dict(self) -> dict:
         return {

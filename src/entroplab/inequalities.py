@@ -46,13 +46,7 @@ from .conditions import (
     check_support_saturation,
     check_unique_common_value,
 )
-from .distributions import (
-    TOLERANCE,
-    JointDistribution,
-    _inverses,
-    _mass_text,
-    log2_fraction,
-)
+from .distributions import JointDistribution, _at_least, _inverses, _record_json, log2_fraction
 from .errors import LabError, PreconditionFailed
 
 PASS = "PASS"
@@ -62,7 +56,7 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 
 class GapReport(NamedTuple):
     """Right side minus left side of one inequality, with the individual
-    terms in bits; ``holds`` allows the shared absolute tolerance."""
+    terms in bits; ``holds`` allows the float slack."""
 
     inequality: str
     gap: float
@@ -70,10 +64,9 @@ class GapReport(NamedTuple):
 
     @property
     def holds(self) -> bool:
-        return self.gap >= -TOLERANCE
+        return _at_least(self.gap)
 
-    def to_json_dict(self) -> dict:
-        return {"inequality": self.inequality, "gap": self.gap, "terms": dict(self.terms)}
+    to_json_dict = _record_json
 
 
 class ErrorTermCertificate(NamedTuple):
@@ -91,9 +84,7 @@ class ErrorTermCertificate(NamedTuple):
     def at_most_one(self) -> bool:
         return self.power_sum <= 1
 
-    def to_json_dict(self) -> dict:
-        power_sum = _mass_text(self.power_sum.numerator, self.power_sum.denominator)
-        return {"kind": self.kind, "power_sum": power_sum, "bits": self.bits}
+    to_json_dict = _record_json
 
 
 def _certificate(kind: str, power_sum: Fraction) -> ErrorTermCertificate:
@@ -216,28 +207,20 @@ class Lemma2Certificate(NamedTuple):
         return self.reduced_ingleton.gap + self.delta.bits
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "entropy_split": self.entropy_split.to_json_dict(),
-            "reduced_ingleton": self.reduced_ingleton.to_json_dict(),
-            "gamma": self.gamma.to_json_dict(),
-            "delta": self.delta.to_json_dict(),
-            "entropy_split_slack": self.entropy_split_slack,
-            "reduced_ingleton_slack": self.reduced_ingleton_slack,
-        }
+        doc = _record_json(self)
+        doc["entropy_split_slack"] = self.entropy_split_slack
+        doc["reduced_ingleton_slack"] = self.reduced_ingleton_slack
+        return doc
 
 
 def verify_lemma2(d: JointDistribution) -> Lemma2Certificate:
     """Check both error-term bounds on an arbitrary distribution."""
-    split = entropy_split_gap(d)
-    reduced = reduced_ingleton_gap(d)
-    gamma = gamma_term(d)
-    delta = delta_term(d)
-    ok = (
-        split.gap + gamma.bits >= -TOLERANCE
-        and reduced.gap + delta.bits >= -TOLERANCE
+    cert = Lemma2Certificate(
+        PASS, entropy_split_gap(d), reduced_ingleton_gap(d), gamma_term(d), delta_term(d)
     )
-    return Lemma2Certificate(PASS if ok else FAIL, split, reduced, gamma, delta)
+    if _at_least(cert.entropy_split_slack) and _at_least(cert.reduced_ingleton_slack):
+        return cert
+    return cert._replace(status=FAIL)
 
 
 class Theorem1Certificate(NamedTuple):
@@ -253,14 +236,7 @@ class Theorem1Certificate(NamedTuple):
     gamma: ErrorTermCertificate | None = None
     power_sum_at_most_one: bool | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "condition": self.condition.to_json_dict(),
-            "gap": self.gap.to_json_dict() if self.gap else None,
-            "gamma": self.gamma.to_json_dict() if self.gamma else None,
-            "power_sum_at_most_one": self.power_sum_at_most_one,
-        }
+    to_json_dict = _record_json
 
 
 def verify_theorem1(d: JointDistribution) -> Theorem1Certificate:
@@ -288,16 +264,7 @@ class Theorem2Certificate(NamedTuple):
     bound_slack: float | None = None
     plain_bound_holds: bool | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "condition": self.condition.to_json_dict(),
-            "gap": self.gap.to_json_dict() if self.gap else None,
-            "delta_prime": self.delta_prime.to_json_dict() if self.delta_prime else None,
-            "pointwise": self.pointwise.to_json_dict() if self.pointwise else None,
-            "bound_slack": self.bound_slack,
-            "plain_bound_holds": self.plain_bound_holds,
-        }
+    to_json_dict = _record_json
 
 
 def verify_theorem2(d: JointDistribution) -> Theorem2Certificate:
@@ -309,7 +276,7 @@ def verify_theorem2(d: JointDistribution) -> Theorem2Certificate:
     delta_prime = _delta_prime(condition, pointwise)
     gap = reduced_ingleton_gap(d)
     slack = gap.gap + delta_prime.bits
-    ok = slack >= -TOLERANCE
+    ok = _at_least(slack)
     plain = None
     if pointwise.holds:
         # the product inequality everywhere forces equality everywhere, and

@@ -173,7 +173,7 @@ def test_criterion_07_matching_partition_product_bound():
             for partition in iter_valid_matching_partitions(g):
                 report = verify_matching_partition(g, partition)
                 assert report.valid
-                assert report.k >= report.left_min_degree * report.right_min_degree, (
+                assert report.K >= report.L * report.R, (
                     g.to_json_dict(),
                     partition,
                 )

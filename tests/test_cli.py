@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,7 @@ from entroplab import cli
 from entroplab.cli import run
 from entroplab.distributions import JointDistribution, load_distribution
 from entroplab.families import gen_distinct_pairs, sample_cond2c
-from entroplab.graphs import dump_cover, gen_gnk, min_biclique_cover
+from entroplab.graphs import dump_cover, extend_with_cover_index, gen_gnk, min_biclique_cover
 
 from conftest import pairs_triple, xor_triple
 
@@ -244,6 +245,38 @@ def test_verify_fail_exits_three(monkeypatch, dist_file):
     assert invoke("verify", "--dist", dist_file(xor_triple()), "--theorem", "1").exit_code == 3
 
 
+def _negative_split(g, cover):
+    return extend_with_cover_index(g, cover)._replace(split_slack=-1.0)
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code",
+    [
+        (("graph", "min-partition", "--graph", "@g"),
+         ("min_valid_matching_partition", lambda g, limit: 0), 3),
+        (("fuzz", "--target", "lemma2", "--trials", "2", "--seed", "1"),
+         ("verify_lemma2", lambda d: SimpleNamespace(status="FAIL")), 3),
+        (("graph", "verify-cover", "--graph", "@g", "--cover", "@half", "--strict"), None, 1),
+        (("graph", "z-extend", "--graph", "@g", "--cover", "@c", "--strict"),
+         ("extend_with_cover_index", _negative_split), 1),
+        (("check", "--all", "--strict", "--dist", "@pairs"), None, 1),
+    ],
+)
+def test_exit_codes_of_failed_and_strict_statements(tmp_path, monkeypatch, argv, patch, code):
+    """Exit 3 when a verifier or a proved bound fails, 1 when --strict meets
+    a statement that does not hold."""
+    g = gen_gnk(4, 1)
+    cover = min_biclique_cover(g)
+    files = {"g": g.dumps(), "c": dump_cover(cover), "half": dump_cover(cover[:1]),
+             "pairs": gen_distinct_pairs(3).dumps()}
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    outcome = invoke(*(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
+    assert outcome.exit_code == code
+
+
 # ---------------------------------------------------------------------------
 # fuzz
 
@@ -415,6 +448,13 @@ _WIDE_SUMS = _atoms(
 )
 
 
+_REPEATED_VERTEX = json.dumps({"bicliques": [
+    {"left": ["{1}", "{1}"], "right": ["{2}", "{3}"]},
+    {"left": ["{2}"], "right": ["{1}", "{3}"]},
+    {"left": ["{3}"], "right": ["{1}", "{2}"]},
+]})
+
+
 def _one_edge(w):
     edge = {"x": "x1", "y": "y1", "color": "c", "w": w}
     return json.dumps({"left": ["x1"], "right": ["y1"], "edges": [edge]})
@@ -478,6 +518,17 @@ def _one_edge(w):
         (("info", "report", "--dist", "@bad"),
          {"bad": _atoms("A", [("a", "1e-1_0"), ("b", "9999999999/10000000000")])}, {},
          "SCHEMA_ERROR"),
+        (("graph", "bcc", "--graph", "@bad", "--method", "color"),
+         {"bad": '{"left": ["x1"], "right": ["y1"], "edges": []}'}, {}, "EMPTY_GRAPH"),
+        # a biclique side that names a vertex twice would split its edges twice
+        (("graph", "verify-cover", "--graph", "@g31", "--cover", "@bad"),
+         {"g31": gen_gnk(3, 1).dumps(), "bad": _REPEATED_VERTEX}, {}, "SCHEMA_ERROR"),
+        (("graph", "z-extend", "--graph", "@g31", "--cover", "@bad"),
+         {"g31": gen_gnk(3, 1).dumps(), "bad": _REPEATED_VERTEX}, {}, "SCHEMA_ERROR"),
+        (("catalog", "gen", "--family", "random-support", "--sizes", "400,400", "--seed", "1"),
+         {}, {}, "TOO_LARGE"),
+        (("catalog", "gen", "--family", "random-cond2c", "--sizes", "20,20,20,20",
+          "--seed", "1"), {}, {}, "TOO_LARGE"),
     ],
 )
 def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):

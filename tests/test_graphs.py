@@ -208,7 +208,7 @@ def test_singletons_are_always_valid():
     singletons = [[e.pair()] for e in g.edges]
     report = verify_matching_partition(g, singletons)
     assert report.valid
-    assert (report.k, report.left_min_degree, report.right_min_degree) == (4, 2, 2)
+    assert (report.K, report.L, report.R) == (4, 2, 2)
 
 
 def test_two_perfect_matchings_are_invalid():
@@ -233,12 +233,16 @@ def test_partition_failure_modes():
     assert verify_matching_partition(g, missing).detail == "edge missing from the partition"
     lopsided = [[("x1", "y1"), ("x1", "y2")], [("x2", "y1")], [("x2", "y2")]]
     assert verify_matching_partition(g, lopsided).detail == "part is not a matching"
+    g31 = gen_gnk(3, 1)
+    padded = [[e.pair()] for e in g31.edges] + [[], []]
+    report = verify_matching_partition(g31, padded)
+    assert (report.valid, report.witness, report.detail) == (False, {"part": 6}, "part is empty")
 
 
 def test_empty_graph_empty_partition():
     g = ColoredBipartiteGraph((), (), [])
     report = verify_matching_partition(g, [])
-    assert report.valid and report.k == 0
+    assert report.valid and report.K == 0
 
 
 def test_min_partition_k22_is_product():
@@ -306,7 +310,7 @@ def test_partition_enumeration_matches_brute_force():
 def test_corollary_certificate_k22():
     g = k22()
     cert = corollary_bound_check(g, [[e.pair()] for e in g.edges])
-    assert cert.k == 4 and cert.left_min_degree == 2 and cert.right_min_degree == 2
+    assert cert.K == 4 and cert.L == 2 and cert.R == 2
     assert cert.product_bound_holds
     assert cert.entropy_floor_holds
     assert cert.theorem1_status == "PASS"
