@@ -643,23 +643,54 @@ def _root_lower_bound(g: ColoredBipartiteGraph) -> int:
     return floor
 
 
-def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> list[Biclique]:
-    """An optimal biclique cover by branch-and-bound set cover over the
-    maximal bicliques, each held as the int mask of its edges.  Bit order is
-    branching order (edges in the fewest bicliques first, then edge order),
-    so the pivot is the lowest uncovered bit and hashing plays no part."""
-    if len(g.edges) > limit:
-        raise TooLarge(f"{len(g.edges)} edges exceed the cover search limit {limit}")
-    if not g.edges:
-        return []
+def _cover_masks(g: ColoredBipartiteGraph):
+    """Maximal bicliques; per edge bit, its holders (the bicliques holding it)
+    and its reach (the OR of their masks); per biclique, its edge mask.  Bits
+    run in branching order: fewest holders first, then edge order."""
     cliques = maximal_bicliques(g)
     holders = [[i for i, b in enumerate(cliques) if e.x in b.left and e.y in b.right]
                for e in g.edges]
-    holders.sort(key=len)  # bit k's bicliques; a stable sort keeps edge order among ties
+    holders.sort(key=len)  # a stable sort keeps edge order among ties
     cells = [0] * len(cliques)
     for bit, indices in enumerate(holders):
         for i in indices:
             cells[i] |= 1 << bit
+    reach = [0] * len(holders)
+    for bit, indices in enumerate(holders):
+        for i in indices:
+            reach[bit] |= cells[i]
+    return cliques, holders, cells, reach
+
+
+def _packing_prunes(uncovered, picks, top, holders, cells, reach, biggest) -> bool:
+    """Whether `uncovered` needs more than `picks` bicliques.  Edges collected
+    greedily from the pivot (lowest bit), each outside the reach of those
+    before, share no biclique, so each takes its own pick, which covers at most
+    its best holder's |cell & uncovered| (`top` for the pivot); others `biggest`."""
+    packed, rest = [], uncovered
+    while rest:
+        bit = (rest & -rest).bit_length() - 1
+        packed.append(bit)
+        if len(packed) > picks:
+            return True
+        rest &= ~reach[bit]
+    reached = top + sum(max((cells[i] & uncovered).bit_count() for i in holders[bit])
+                        for bit in packed[1:])
+    return reached + (picks - len(packed)) * biggest < uncovered.bit_count()
+
+
+def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> list[Biclique]:
+    """An optimal biclique cover by branch-and-bound set cover over the
+    maximal bicliques as edge masks (`_cover_masks`); the pivot is the lowest
+    uncovered bit, so hashing plays no part.  A node is pruned when the picks
+    left to beat the best cover are fewer than ceil(|uncovered| / largest
+    biclique) or the packing floor (`_packing_prunes`) needs; the last pick is
+    the first holder of the pivot that covers everything left."""
+    if len(g.edges) > limit:
+        raise TooLarge(f"{len(g.edges)} edges exceed the cover search limit {limit}")
+    if not g.edges:
+        return []
+    cliques, holders, cells, reach = _cover_masks(g)
 
     # greedy warm start
     best: list[int] = []
@@ -678,11 +709,20 @@ def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> li
             if len(chosen) < best_size:
                 best, best_size = list(chosen), len(chosen)
             return
-        if len(chosen) + math.ceil(uncovered.bit_count() / biggest) >= best_size:
+        picks = best_size - 1 - len(chosen)
+        if math.ceil(uncovered.bit_count() / biggest) > picks:
             return
-        options = sorted(holders[(uncovered & -uncovered).bit_length() - 1],
-                         key=lambda i: -(cells[i] & uncovered).bit_count())
-        for i in options:
+        options = holders[(uncovered & -uncovered).bit_length() - 1]
+        if picks == 1:
+            for i in options:
+                if not uncovered & ~cells[i]:
+                    best, best_size = chosen + [i], len(chosen) + 1
+                    return
+            return
+        sizes = {i: (cells[i] & uncovered).bit_count() for i in options}
+        if _packing_prunes(uncovered, picks, max(sizes.values()), holders, cells, reach, biggest):
+            return
+        for i in sorted(options, key=lambda i: -sizes[i]):
             if best_size <= floor:
                 return
             chosen.append(i)

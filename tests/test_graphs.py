@@ -36,6 +36,7 @@ from entroplab.graphs import (
     verify_biclique_cover,
     verify_matching_partition,
 )
+from entroplab.graphs import _cover_masks, _packing_prunes, _root_lower_bound
 
 TOL = 1e-9
 
@@ -475,16 +476,119 @@ def test_exact_cover_matches_brute_force():
         assert verify_biclique_cover(g, cover).holds
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 10))
 def test_crown_cover_matches_closed_form(n):
     # G(n,1) is the crown graph: K_{n,n} minus a perfect matching.  Its
     # biclique cover number is min{k : C(k, k//2) >= n} (de Caen, Gregory
-    # and Pullman 1981, through Sperner's theorem).
+    # and Pullman 1981, through Sperner's theorem).  n = 9 takes about 2 s;
+    # n = 10 is left out because its search still takes more than 200 s.
     expected = next(k for k in itertools.count(1) if math.comb(k, k // 2) >= n)
     g = gen_gnk(n, 1)
     cover = min_biclique_cover(g, limit=len(g.edges))
     assert len(cover) == expected
     assert verify_biclique_cover(g, cover).holds
+
+
+def cover_graph(rng, side, edge_count, star):
+    """A side x side graph with edge_count random edges, colored greedily so
+    that each color class is a fooling set (star), or one color per edge."""
+    left = [f"x{i}" for i in range(side)]
+    right = [f"y{j}" for j in range(side)]
+    cells = rng.sample([(x, y) for x in left for y in right], edge_count)
+    present = set(cells)
+    classes = []
+    edges = []
+    for x, y in cells:
+        fits = [c for c, members in enumerate(classes)
+                if star and all(x != x2 and y != y2
+                                and not ((x, y2) in present and (x2, y) in present)
+                                for x2, y2 in members)]
+        if not fits:
+            classes.append([])
+            fits = [len(classes) - 1]
+        classes[fits[0]].append((x, y))
+        edges.append(Edge(x, y, f"c{fits[0]}"))
+    return ColoredBipartiteGraph(left, right, edges)
+
+
+def reference_cover(g):
+    """The cover search before the packing floor and the inline last pick:
+    only the ceil(|uncovered| / largest biclique) bound prunes it."""
+    cliques = maximal_bicliques(g)
+    holders = [[i for i, b in enumerate(cliques) if e.x in b.left and e.y in b.right]
+               for e in g.edges]
+    holders.sort(key=len)
+    cells = [0] * len(cliques)
+    for bit, indices in enumerate(holders):
+        for i in indices:
+            cells[i] |= 1 << bit
+    best = []
+    uncovered = universe = (1 << len(holders)) - 1
+    while uncovered:
+        i = max(range(len(cells)), key=lambda j: (cells[j] & uncovered).bit_count())
+        best.append(i)
+        uncovered &= ~cells[i]
+    best_size = len(best)
+    floor = _root_lower_bound(g)
+    biggest = max(c.bit_count() for c in cells)
+
+    def walk(uncovered, chosen):
+        nonlocal best, best_size
+        if not uncovered:
+            if len(chosen) < best_size:
+                best, best_size = list(chosen), len(chosen)
+            return
+        if len(chosen) + math.ceil(uncovered.bit_count() / biggest) >= best_size:
+            return
+        options = sorted(holders[(uncovered & -uncovered).bit_length() - 1],
+                         key=lambda i: -(cells[i] & uncovered).bit_count())
+        for i in options:
+            if best_size <= floor:
+                return
+            chosen.append(i)
+            walk(uncovered & ~cells[i], chosen)
+            chosen.pop()
+
+    if best_size > floor:
+        walk(universe, [])
+    return [cliques[i] for i in best]
+
+
+def test_pruned_cover_search_prints_the_same_cover():
+    rng = random.Random(83)
+    graphs = []
+    for trial in range(240):
+        side = rng.randint(1, 6)
+        graphs.append(cover_graph(rng, side, rng.randint(1, min(16, side * side)),
+                                  star=trial % 2 == 0))
+    graphs += [cover_graph(rng, 7, 42, star=True) for _ in range(6)]
+    graphs += [gen_gnk(n, 1) for n in range(3, 8)] + [gen_gnk(5, 2), gen_gnk(6, 2)]
+    for g in graphs:
+        assert min_biclique_cover(g, limit=len(g.edges)) == reference_cover(g)
+
+
+def test_packing_floor_never_prunes_a_coverable_set():
+    rng = random.Random(89)
+    prunes = 0
+    for trial in range(150):
+        side = rng.randint(2, 4)
+        g = cover_graph(rng, side, rng.randint(2, min(10, side * side)), star=trial % 2 == 0)
+        _, holders, cells, reach = _cover_masks(g)
+        biggest = max(c.bit_count() for c in cells)
+        for _ in range(8):
+            uncovered = rng.randrange(1, 1 << len(holders))
+            pivot = (uncovered & -uncovered).bit_length() - 1
+            top = max((cells[i] & uncovered).bit_count() for i in holders[pivot])
+            for picks in range(1, 4):
+                if not _packing_prunes(uncovered, picks, top, holders, cells, reach, biggest):
+                    continue
+                prunes += 1
+                for combo in itertools.combinations(cells, min(picks, len(cells))):
+                    union = 0
+                    for c in combo:
+                        union |= c
+                    assert uncovered & ~union, (g, uncovered, picks, combo)
+    assert prunes > 100
 
 
 @given(star_colored_graphs())
