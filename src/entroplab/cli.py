@@ -12,6 +12,9 @@ Exit codes:
      files, out-of-budget requests
   3  a verifier returned FAIL, i.e. a mathematically impossible event;
      kept separate from 2 so CI can flag regressions in the math
+
+Each handler imports what it runs when it starts, so a process loads, and
+compiles, only the modules of its subcommand.
 """
 
 import argparse
@@ -21,64 +24,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .conditions import (
-    COND_CI_GIVEN,
-    COND_FUNCTIONAL,
-    COND_INDEPENDENCE,
-    COND_POINTWISE_PRODUCT,
-    COND_SUPPORT_SATURATION,
-    COND_UNIQUE_COMMON_VALUE,
-    audit_lemma1,
-    audit_lemma3,
-    check_ci_given,
-    check_functional,
-    check_independence,
-    check_pointwise_product,
-    check_support_saturation,
-    check_unique_common_value,
-)
-from .distributions import as_fraction, info_report, load_distribution
 from .errors import LabError, PreconditionFailed
-from .families import (
-    extend_with_random_B,
-    gen_distinct_pairs,
-    gen_disjoint_sets,
-    gen_field_lines,
-    sample_cond2c,
-    sample_random_distribution,
-)
-from .graphs import (
-    PARTITION_SEARCH_LIMIT,
-    COVER_SEARCH_LIMIT,
-    _min_degrees,
-    bcc_color_bound,
-    gen_gnk,
-    bcc_dual_entropy_bound,
-    bcc_entropy_bound,
-    corollary_bound_check,
-    extend_with_cover_index,
-    load_cover,
-    load_graph,
-    load_partition,
-    min_biclique_cover,
-    min_valid_matching_partition,
-    verify_biclique_cover,
-    verify_matching_partition,
-)
-from .inequalities import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
-    _delta_prime,
-    delta_term,
-    entropy_split_gap,
-    gamma_term,
-    ingleton_gap,
-    reduced_ingleton_gap,
-    verify_lemma2,
-    verify_theorem1,
-    verify_theorem2,
-)
 
 SEED_SPAN = 2**32
 
@@ -132,6 +78,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_dist(path: str):
+    from .distributions import load_distribution
     return load_distribution(_read(path))
 
 
@@ -154,6 +101,9 @@ def _require_flag(value, flag: str):
 
 
 def _cmd_catalog_gen(args) -> CommandOutcome:
+    from .distributions import as_fraction
+    from .families import (extend_with_random_B, gen_disjoint_sets, gen_distinct_pairs,
+                           gen_field_lines, sample_cond2c, sample_random_distribution)
     family = args.family
     if family == "distinct-pairs":
         d = gen_distinct_pairs(_require_flag(args.n, "--n"))
@@ -183,21 +133,32 @@ def _cmd_catalog_gen(args) -> CommandOutcome:
 # info / check
 
 
-# Each entry looks its checker up when called, so a checker patched into
-# this module's namespace is the one that runs.
-_CONDITIONS = {
-    COND_INDEPENDENCE: lambda d: check_independence(d, "X", "Y"),
-    COND_CI_GIVEN: lambda d: check_ci_given(d, "X", "Y", "A"),
-    COND_FUNCTIONAL: lambda d: check_functional(d),
-    COND_SUPPORT_SATURATION: lambda d: check_support_saturation(d),
-    COND_UNIQUE_COMMON_VALUE: lambda d: check_unique_common_value(d),
-    COND_POINTWISE_PRODUCT: lambda d: check_pointwise_product(d),
-}
+# The ids of the condition table, in its order: `check --condition` takes its
+# choices from here, so that building the parser loads no `conditions`.
+_CONDITION_IDS = ("independence", "conditional-independence", "functional", "cond-2-B",
+                  "cond-2-C", "pointwise-product")
+
+
+def _conditions() -> dict:
+    """Condition id -> checker; a checker patched into `conditions` is the one that runs."""
+    from . import conditions as c
+    return {
+        c.COND_INDEPENDENCE: lambda d: c.check_independence(d, "X", "Y"),
+        c.COND_CI_GIVEN: lambda d: c.check_ci_given(d, "X", "Y", "A"),
+        c.COND_FUNCTIONAL: c.check_functional,
+        c.COND_SUPPORT_SATURATION: c.check_support_saturation,
+        c.COND_UNIQUE_COMMON_VALUE: c.check_unique_common_value,
+        c.COND_POINTWISE_PRODUCT: c.check_pointwise_product,
+    }
 
 
 def _cmd_info(args) -> CommandOutcome:
+    from .conditions import COND_POINTWISE_PRODUCT, COND_SUPPORT_SATURATION
+    from .distributions import info_report
+    from .inequalities import (_delta_prime, delta_term, entropy_split_gap, gamma_term,
+                               ingleton_gap, reduced_ingleton_gap)
     d = _load_dist(args.dist)
-    verdicts = {name: check(d) for name, check in _CONDITIONS.items()}
+    verdicts = {name: check(d) for name, check in _conditions().items()}
     gaps = {
         report.inequality: report.to_json_dict()
         for report in (ingleton_gap(d), reduced_ingleton_gap(d), entropy_split_gap(d))
@@ -225,14 +186,15 @@ def _cmd_info(args) -> CommandOutcome:
 
 
 def _cmd_check(args) -> CommandOutcome:
+    checks = _conditions()
     d = _load_dist(args.dist)
     if args.condition is not None:
         names = [args.condition]
     elif args.all:
-        names = list(_CONDITIONS)
+        names = list(checks)
     else:
         raise LabError("BAD_PARAM", "pass --condition <id> or --all")
-    verdicts = [_CONDITIONS[name](d).to_json_dict() for name in names]
+    verdicts = [checks[name](d).to_json_dict() for name in names]
     doc = {"fingerprint": d.fingerprint(), "verdicts": verdicts}
     holds = all(v["holds"] for v in verdicts)
     return _document(doc, _exit_code(holds=holds, strict=args.strict))
@@ -243,6 +205,9 @@ def _cmd_check(args) -> CommandOutcome:
 
 
 def _cmd_verify(args) -> CommandOutcome:
+    from .conditions import audit_lemma1, audit_lemma3
+    from .inequalities import (FAIL, NOT_APPLICABLE, PASS, verify_lemma2, verify_theorem1,
+                               verify_theorem2)
     d = _load_dist(args.dist)
     token = args.theorem
     if token == "lemma1":
@@ -271,51 +236,64 @@ def _cmd_verify(args) -> CommandOutcome:
 # fuzz
 
 
-def _sparse_sample(rng: random.Random):
+def _sparse_sample(rng: random.Random, sample=None):
+    # `sample` is families.sample_random_distribution, imported once per fuzz run
+    if sample is None:
+        from .families import sample_random_distribution as sample
     sizes = tuple(rng.randint(1, 3) for _ in range(4))
-    d = sample_random_distribution(("A", "B", "X", "Y"), sizes, rng.randrange(SEED_SPAN))
+    d = sample(("A", "B", "X", "Y"), sizes, rng.randrange(SEED_SPAN))
     outcomes = sorted(d.counts)
     keep = rng.randint(1, len(outcomes))
     return d.condition(rng.sample(outcomes, keep))
 
 
-def _fuzz_trial(target: str, rng: random.Random):
-    inner = rng.randrange(SEED_SPAN)
-    if target == "theorem1":
-        sizes = tuple(rng.randint(1, 4) for _ in range(4))
+def _fuzz_trial(target: str):
+    """The trial of ``target``: rng -> (distribution, status)."""
+    from .conditions import audit_lemma1, audit_lemma3
+    from .families import extend_with_random_B, sample_cond2c, sample_random_distribution
+    from .inequalities import FAIL, PASS, verify_lemma2, verify_theorem1, verify_theorem2
+
+    def trial(rng: random.Random):
+        inner = rng.randrange(SEED_SPAN)
+        if target == "theorem1":
+            sizes = tuple(rng.randint(1, 4) for _ in range(4))
+            d = sample_cond2c(inner, sizes)
+            cert = verify_theorem1(d)
+            return d, cert.status
+        if target == "theorem2":
+            sizes = tuple(rng.randint(1, 3) for _ in range(3))
+            base = sample_random_distribution(("A", "X", "Y"), sizes, inner)
+            d = extend_with_random_B(base, rng.randint(1, 3), rng.randrange(SEED_SPAN))
+            cert = verify_theorem2(d)
+            return d, cert.status
+        if target == "lemma1":
+            d = _sparse_sample(rng, sample_random_distribution)
+            audit = audit_lemma1(d)
+            return d, PASS if audit.ok else FAIL
+        if target == "lemma2":
+            d = _sparse_sample(rng, sample_random_distribution)
+            cert = verify_lemma2(d)
+            return d, cert.status
+        # lemma3
+        sizes = tuple(rng.randint(1, 3) for _ in range(4))
         d = sample_cond2c(inner, sizes)
-        cert = verify_theorem1(d)
-        return d, cert.status
-    if target == "theorem2":
-        sizes = tuple(rng.randint(1, 3) for _ in range(3))
-        base = sample_random_distribution(("A", "X", "Y"), sizes, inner)
-        d = extend_with_random_B(base, rng.randint(1, 3), rng.randrange(SEED_SPAN))
-        cert = verify_theorem2(d)
-        return d, cert.status
-    if target == "lemma1":
-        d = _sparse_sample(rng)
-        audit = audit_lemma1(d)
+        audit = audit_lemma3(d, trials=3, seed=rng.randrange(SEED_SPAN))
         return d, PASS if audit.ok else FAIL
-    if target == "lemma2":
-        d = _sparse_sample(rng)
-        cert = verify_lemma2(d)
-        return d, cert.status
-    # lemma3
-    sizes = tuple(rng.randint(1, 3) for _ in range(4))
-    d = sample_cond2c(inner, sizes)
-    audit = audit_lemma3(d, trials=3, seed=rng.randrange(SEED_SPAN))
-    return d, PASS if audit.ok else FAIL
+
+    return trial
 
 
 def _cmd_fuzz(args) -> CommandOutcome:
+    from .inequalities import FAIL
     if args.trials < 1:
         raise LabError("BAD_PARAM", "--trials must be positive")
+    run_trial = _fuzz_trial(args.target)
     rng = random.Random(args.seed)
     rows = []
     counts: dict[str, int] = {}
     first_failure = None
     for trial in range(args.trials):
-        d, status = _fuzz_trial(args.target, rng)
+        d, status = run_trial(rng)
         counts[status] = counts.get(status, 0) + 1
         rows.append((trial, d.fingerprint(), status))
         if status == FAIL and first_failure is None:
@@ -343,6 +321,7 @@ def _cmd_fuzz(args) -> CommandOutcome:
 
 
 def _cmd_graph_gen(args) -> CommandOutcome:
+    from .graphs import gen_gnk
     g = gen_gnk(args.n, args.k)
     text = g.dumps()
     if args.out:
@@ -351,6 +330,11 @@ def _cmd_graph_gen(args) -> CommandOutcome:
 
 
 def _cmd_graph(args) -> CommandOutcome:
+    from .graphs import (COVER_SEARCH_LIMIT, PARTITION_SEARCH_LIMIT, _min_degrees,
+                         bcc_color_bound, bcc_dual_entropy_bound, bcc_entropy_bound,
+                         corollary_bound_check, extend_with_cover_index, load_cover, load_graph,
+                         load_partition, min_biclique_cover, min_valid_matching_partition,
+                         verify_biclique_cover, verify_matching_partition)
     g = load_graph(_read(args.graph))
     action = args.graph_command
     if action == "verify-partition":
@@ -377,6 +361,11 @@ def _cmd_graph(args) -> CommandOutcome:
         return _document(doc, _exit_code(holds=verdict.holds, strict=args.strict))
     if action == "bcc":
         methods = args.method.split(",")
+        bounds = {"entropy": bcc_entropy_bound, "dual": bcc_dual_entropy_bound,
+                  "color": bcc_color_bound}
+        for method in methods:  # every name is checked before any work
+            if method != "exact" and method not in bounds:
+                raise LabError("BAD_PARAM", f"unknown bcc method {method!r}")
         doc = {}
         for method in methods:
             if method == "exact":
@@ -386,15 +375,8 @@ def _cmd_graph(args) -> CommandOutcome:
                     "cover": [b.to_json_dict() for b in cover],
                 }
                 continue
-            bound = {
-                "entropy": bcc_entropy_bound,
-                "dual": bcc_dual_entropy_bound,
-                "color": bcc_color_bound,
-            }.get(method)
-            if bound is None:
-                raise LabError("BAD_PARAM", f"unknown bcc method {method!r}")
             try:
-                doc[method] = bound(g).to_json_dict()
+                doc[method] = bounds[method](g).to_json_dict()
             except PreconditionFailed as exc:
                 doc[method] = {"applicable": False, "witness": exc.witness}
         return _document(doc)
@@ -452,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="support and product condition verdicts")
     check.add_argument("--dist", required=True)
-    check.add_argument("--condition", choices=list(_CONDITIONS))
+    check.add_argument("--condition", choices=_CONDITION_IDS)
     check.add_argument("--all", action="store_true")
     check.add_argument("--strict", action="store_true")
     check.set_defaults(handler=_cmd_check)

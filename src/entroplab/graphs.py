@@ -23,20 +23,22 @@ ground truth for both the covering number and the minimal valid matching
 partition.
 """
 
+from __future__ import annotations
+
 import itertools
 import json
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .conditions import Verdict
 from .distributions import (
     JointDistribution, TOLERANCE, _at_least, _common, _ratio, _rational_text, _record_json,
     as_fraction,
 )
 from .errors import LabError, PreconditionFailed, TooLarge
-from .families import ATOM_BUDGET, _disjoint_set_atoms, _set_label
-from .inequalities import verify_theorem1
+
+if TYPE_CHECKING:
+    from .conditions import Verdict
 
 PROPERTY_STAR = "property-star"
 PROPERTY_DOUBLESTAR = "property-doublestar"
@@ -69,7 +71,7 @@ class ColoredBipartiteGraph:
     absent everywhere or positive rationals summing to one.
     """
 
-    __slots__ = ("left", "right", "edges", "_pair_index")
+    __slots__ = ("left", "right", "edges", "_pair_index", "_derived")
 
     def __init__(self, left, right, edges):
         left = tuple(left)
@@ -103,6 +105,7 @@ class ColoredBipartiteGraph:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_pair_index", pair_index)
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredBipartiteGraph is immutable")
@@ -125,6 +128,13 @@ class ColoredBipartiteGraph:
 
     def edge_at(self, x: str, y: str) -> Edge:
         return self._pair_index[(x, y)]
+
+    def _once(self, fn):
+        # fn(self), computed once per fn, so that the cover-size bounds and the exact
+        # search's root floor share each property check and the edge distribution
+        if fn not in self._derived:
+            self._derived[fn] = fn(self)
+        return self._derived[fn]
 
     def color_classes(self) -> dict[str, list[Edge]]:
         classes: dict[str, list[Edge]] = {}
@@ -240,6 +250,7 @@ def gen_gnk(n: int, k: int) -> ColoredBipartiteGraph:
     """Disjointness graph: k-subsets of {1..n} on both sides, an edge when
     the sets are disjoint, colored by the union (each color appears on
     exactly C(2k,k) edges, one per split of the union)."""
+    from .families import ATOM_BUDGET, _disjoint_set_atoms, _set_label
     if not isinstance(n, int) or not isinstance(k, int) or k < 1 or 2 * k > n:
         raise LabError("BAD_PARAM", f"disjointness graph needs 1 <= k <= n/2, got n={n!r} k={k!r}")
     if math.comb(n, k) > VERTEX_BUDGET:
@@ -377,6 +388,7 @@ def corollary_bound_check(g: ColoredBipartiteGraph, partition) -> CorollaryCerti
     for i, part in enumerate(partition):
         for pair in part:
             part_of[pair] = str(i)
+    from .inequalities import verify_theorem1
     recolored = ColoredBipartiteGraph(
         g.left, g.right,
         [Edge(e.x, e.y, part_of[e.pair()], e.weight) for e in g.edges],
@@ -484,6 +496,7 @@ def check_property_star(g: ColoredBipartiteGraph) -> Verdict:
     endpoint ({x} x {y, y2} or {x, x2} x {y}), and otherwise exactly when
     both crossing edges (x, y2) and (x2, y) are present.
     """
+    from .conditions import Verdict
     for color, edges in sorted(g.color_classes().items()):
         pairs = sorted(e.pair() for e in edges)
         for (x, y), (x2, y2) in itertools.combinations(pairs, 2):
@@ -500,6 +513,7 @@ def check_property_star(g: ColoredBipartiteGraph) -> Verdict:
 def check_property_doublestar(g: ColoredBipartiteGraph) -> Verdict:
     """Whenever all four edges of a 2x2 cell exist and the two crossing
     edges share a color, each corner edge carries that color too."""
+    from .conditions import Verdict
     for color, edges in sorted(g.color_classes().items()):
         pairs = sorted(e.pair() for e in edges)
         for (x, y2), (x2, y) in itertools.permutations(pairs, 2):
@@ -552,16 +566,16 @@ def _entropy_floor(d: JointDistribution) -> float:
 def bcc_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
     """Cover-size floor 2^((H(A|X)+H(A|Y)-H(A))/2) under the forced-corner
     property."""
-    _require(check_property_doublestar(g))
+    _require(g._once(check_property_doublestar))
     return _floor_report(
-        "entropy", _entropy_floor(edge_distribution(g)), None, PROPERTY_DOUBLESTAR
+        "entropy", _entropy_floor(g._once(edge_distribution)), None, PROPERTY_DOUBLESTAR
     )
 
 
 def bcc_color_bound(g: ColoredBipartiteGraph) -> BoundReport:
     """Largest color class: its edges pairwise refuse to share a biclique,
     so each needs its own."""
-    _require(check_property_star(g))
+    _require(g._once(check_property_star))
     _require_edges(g)
     top = max(len(edges) for edges in g.color_classes().values())
     return BoundReport("color", float(top), top, Fraction(top), PROPERTY_STAR)
@@ -575,8 +589,8 @@ def bcc_dual_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
     When edges are unweighted and the color classes all have the same
     size, the value is that size exactly as a rational.
     """
-    _require(check_property_star(g))
-    d = edge_distribution(g)
+    _require(g._once(check_property_star))
+    d = g._once(edge_distribution)
     value = 2.0 ** (d.entropy(("X", "Y")) - d.entropy("A"))
     classes = g.color_classes()
     counts = {len(edges) for edges in classes.values()}
@@ -614,6 +628,7 @@ def maximal_bicliques(g: ColoredBipartiteGraph) -> list[Biclique]:
 
 
 def verify_biclique_cover(g: ColoredBipartiteGraph, cover) -> Verdict:
+    from .conditions import Verdict
     covered = set()
     for b in cover:
         if not b.left or not b.right:
@@ -776,6 +791,7 @@ def extend_with_cover_index(g: ColoredBipartiteGraph, cover) -> ZExtensionReport
     H(A|X,Z) + H(A|Y,Z) <= H(A|Z) and in turn
     cover size >= 2^((H(A|X)+H(A|Y)-H(A))/2).
     """
+    from .inequalities import verify_theorem1
     verdict = verify_biclique_cover(g, cover)
     if not verdict.holds:
         raise LabError("NOT_A_COVER", verdict.detail, witness=verdict.witness)

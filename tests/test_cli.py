@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from entroplab import cli
+from entroplab import cli, conditions, graphs
 from entroplab.cli import run
 from entroplab.distributions import JointDistribution, load_distribution
 from entroplab.families import gen_distinct_pairs, sample_cond2c
@@ -184,6 +185,15 @@ def test_check_all_lists_every_condition(dist_file):
     ]
 
 
+def test_condition_ids_follow_the_condition_table():
+    """The parser's copy of the condition ids cannot drift from `conditions`."""
+    constants = (conditions.COND_INDEPENDENCE, conditions.COND_CI_GIVEN,
+                 conditions.COND_FUNCTIONAL, conditions.COND_SUPPORT_SATURATION,
+                 conditions.COND_UNIQUE_COMMON_VALUE, conditions.COND_POINTWISE_PRODUCT)
+    assert cli._CONDITION_IDS == constants
+    assert tuple(cli._conditions()) == constants
+
+
 def test_check_requires_condition_or_all(dist_file):
     assert invoke("check", "--dist", dist_file(xor_triple())).exit_code == 2
 
@@ -241,7 +251,7 @@ def test_verify_fail_exits_three(monkeypatch, dist_file):
         def to_json_dict(self):
             return {"status": "FAIL"}
 
-    monkeypatch.setattr("entroplab.cli.verify_theorem1", lambda d: Regression())
+    monkeypatch.setattr("entroplab.inequalities.verify_theorem1", lambda d: Regression())
     assert invoke("verify", "--dist", dist_file(xor_triple()), "--theorem", "1").exit_code == 3
 
 
@@ -253,12 +263,13 @@ def _negative_split(g, cover):
     "argv, patch, code",
     [
         (("graph", "min-partition", "--graph", "@g"),
-         ("min_valid_matching_partition", lambda g, limit: 0), 3),
+         ("entroplab.graphs.min_valid_matching_partition", lambda g, limit: 0), 3),
         (("fuzz", "--target", "lemma2", "--trials", "2", "--seed", "1"),
-         ("verify_lemma2", lambda d: SimpleNamespace(status="FAIL")), 3),
+         ("entroplab.inequalities.verify_lemma2", lambda d: SimpleNamespace(status="FAIL")),
+         3),
         (("graph", "verify-cover", "--graph", "@g", "--cover", "@half", "--strict"), None, 1),
         (("graph", "z-extend", "--graph", "@g", "--cover", "@c", "--strict"),
-         ("extend_with_cover_index", _negative_split), 1),
+         ("entroplab.graphs.extend_with_cover_index", _negative_split), 1),
         (("check", "--all", "--strict", "--dist", "@pairs"), None, 1),
     ],
 )
@@ -272,7 +283,7 @@ def test_exit_codes_of_failed_and_strict_statements(tmp_path, monkeypatch, argv,
     for name, content in files.items():
         (tmp_path / name).write_text(content)
     if patch is not None:
-        monkeypatch.setattr(cli, *patch)
+        monkeypatch.setattr(*patch)
     outcome = invoke(*(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
     assert outcome.exit_code == code
 
@@ -399,6 +410,35 @@ def test_graph_bcc_monochrome_bound_not_applicable(tmp_path):
 def test_graph_bcc_unknown_method(graph_file):
     path = graph_file(gen_gnk(2, 1))
     assert invoke("graph", "bcc", "--graph", path, "--method", "magic").exit_code == 2
+
+
+def test_graph_bcc_checks_every_method_before_any_work(graph_file, monkeypatch):
+    def search(g, limit):
+        raise AssertionError("the exact search ran before the method list was checked")
+
+    monkeypatch.setattr("entroplab.graphs.min_biclique_cover", search)
+    code, doc = invoke_json("graph", "bcc", "--graph", graph_file(gen_gnk(4, 1)),
+                            "--method", "exact,bogus")
+    assert code == 2
+    assert doc["error"]["code"] == "BAD_PARAM"
+
+
+def test_graph_bcc_shares_property_checks_and_edge_distribution(graph_file, monkeypatch):
+    """The exact search's root floor and the printed bounds share one check
+    of each coloring property and one edge distribution."""
+    argv = ("graph", "bcc", "--graph", graph_file(gen_gnk(4, 1)),
+            "--method", "exact,entropy,dual,color")
+    plain = invoke(*argv)
+    names = ("check_property_star", "check_property_doublestar", "edge_distribution")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(g, name=name, original=getattr(graphs, name)):
+            calls[name] += 1
+            return original(g)
+
+        monkeypatch.setattr(graphs, name, counted)
+    assert invoke(*argv) == plain
+    assert calls == dict.fromkeys(names, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +591,7 @@ def test_memory_error_exits_two_as_too_large(monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "gen_field_lines", exhausted)
+    monkeypatch.setattr("entroplab.families.gen_field_lines", exhausted)
     code, doc = invoke_json("catalog", "gen", "--family", "field-lines", "--q-exp", "5",
                             "--delta", "1/2", "--b-size", "2", "--seed", "1")
     assert code == 2
@@ -602,6 +642,48 @@ def test_startup_imports_stay_lean():
         "print(json.dumps([m for m in sys.modules if m.startswith('entroplab.')]))"
     )
     assert submodules == set(), sorted(submodules)
+
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (("catalog", "gen", "--family", "distinct-pairs", "--n", "2"),
+         {"distributions", "families"}),
+        (("check", "--all", "--dist", "@distinct-pairs-4.json"),
+         {"distributions", "conditions"}),
+        (("info", "report", "--dist", "@distinct-pairs-4.json"),
+         {"distributions", "conditions", "inequalities"}),
+        (("verify", "--theorem", "1", "--dist", "@cond2c.json"),
+         {"distributions", "conditions", "inequalities"}),
+        (("fuzz", "--target", "theorem2", "--trials", "2", "--seed", "1"),
+         {"distributions", "conditions", "inequalities", "families"}),
+        (("graph", "gen", "--n", "4", "--k", "1"), {"graphs", "distributions", "families"}),
+        (("graph", "min-partition", "--graph", "@gnk-4-1.json"), {"graphs", "distributions"}),
+        (("graph", "verify-cover", "--graph", "@gnk-4-1.json", "--cover", "@gnk-4-1-cover.json"),
+         {"graphs", "distributions", "conditions"}),
+        (("graph", "bcc", "--graph", "@gnk-4-1.json", "--method", "exact,entropy,dual,color"),
+         {"graphs", "distributions", "conditions"}),
+        (("graph", "z-extend", "--graph", "@gnk-4-1.json", "--cover", "@gnk-4-1-cover.json"),
+         {"graphs", "distributions", "conditions", "inequalities"}),
+    ],
+    ids=["catalog-gen", "check", "info", "verify", "fuzz", "graph-gen", "graph-min-partition",
+         "graph-verify-cover", "graph-bcc", "graph-z-extend"],
+)
+def test_each_command_loads_only_its_modules(argv, modules):
+    """A process imports, and so compiles, only the modules its subcommand
+    runs, besides `cli` and `errors`."""
+    argv = [str(INPUTS / a[1:]) if a.startswith("@") else a for a in argv]
+    loaded = _loaded_in_child(
+        "import json, sys\n"
+        "from entroplab.cli import run\n"
+        f"assert run({argv!r}).exit_code == 0\n"
+        "print(json.dumps([m[len('entroplab.'):] for m in sys.modules\n"
+        "                  if m.startswith('entroplab.')]))"
+    )
+    assert loaded == {"cli", "errors", *modules}
 
 
 def test_help_exits_zero():
