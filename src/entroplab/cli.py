@@ -236,64 +236,56 @@ def _cmd_verify(args) -> CommandOutcome:
 # fuzz
 
 
-def _sparse_sample(rng: random.Random, sample=None):
-    # `sample` is families.sample_random_distribution, imported once per fuzz run
-    if sample is None:
-        from .families import sample_random_distribution as sample
+def _sparse_sample(rng: random.Random):
+    from .families import sample_random_distribution
     sizes = tuple(rng.randint(1, 3) for _ in range(4))
-    d = sample(("A", "B", "X", "Y"), sizes, rng.randrange(SEED_SPAN))
+    d = sample_random_distribution(("A", "B", "X", "Y"), sizes, rng.randrange(SEED_SPAN))
     outcomes = sorted(d.counts)
     keep = rng.randint(1, len(outcomes))
     return d.condition(rng.sample(outcomes, keep))
 
 
-def _fuzz_trial(target: str):
-    """The trial of ``target``: rng -> (distribution, status)."""
+def _fuzz_trial(target: str, rng: random.Random):
     from .conditions import audit_lemma1, audit_lemma3
     from .families import extend_with_random_B, sample_cond2c, sample_random_distribution
     from .inequalities import FAIL, PASS, verify_lemma2, verify_theorem1, verify_theorem2
-
-    def trial(rng: random.Random):
-        inner = rng.randrange(SEED_SPAN)
-        if target == "theorem1":
-            sizes = tuple(rng.randint(1, 4) for _ in range(4))
-            d = sample_cond2c(inner, sizes)
-            cert = verify_theorem1(d)
-            return d, cert.status
-        if target == "theorem2":
-            sizes = tuple(rng.randint(1, 3) for _ in range(3))
-            base = sample_random_distribution(("A", "X", "Y"), sizes, inner)
-            d = extend_with_random_B(base, rng.randint(1, 3), rng.randrange(SEED_SPAN))
-            cert = verify_theorem2(d)
-            return d, cert.status
-        if target == "lemma1":
-            d = _sparse_sample(rng, sample_random_distribution)
-            audit = audit_lemma1(d)
-            return d, PASS if audit.ok else FAIL
-        if target == "lemma2":
-            d = _sparse_sample(rng, sample_random_distribution)
-            cert = verify_lemma2(d)
-            return d, cert.status
-        # lemma3
-        sizes = tuple(rng.randint(1, 3) for _ in range(4))
+    inner = rng.randrange(SEED_SPAN)
+    if target == "theorem1":
+        sizes = tuple(rng.randint(1, 4) for _ in range(4))
         d = sample_cond2c(inner, sizes)
-        audit = audit_lemma3(d, trials=3, seed=rng.randrange(SEED_SPAN))
+        cert = verify_theorem1(d)
+        return d, cert.status
+    if target == "theorem2":
+        sizes = tuple(rng.randint(1, 3) for _ in range(3))
+        base = sample_random_distribution(("A", "X", "Y"), sizes, inner)
+        d = extend_with_random_B(base, rng.randint(1, 3), rng.randrange(SEED_SPAN))
+        cert = verify_theorem2(d)
+        return d, cert.status
+    if target == "lemma1":
+        d = _sparse_sample(rng)
+        audit = audit_lemma1(d)
         return d, PASS if audit.ok else FAIL
-
-    return trial
+    if target == "lemma2":
+        d = _sparse_sample(rng)
+        cert = verify_lemma2(d)
+        return d, cert.status
+    # lemma3
+    sizes = tuple(rng.randint(1, 3) for _ in range(4))
+    d = sample_cond2c(inner, sizes)
+    audit = audit_lemma3(d, trials=3, seed=rng.randrange(SEED_SPAN))
+    return d, PASS if audit.ok else FAIL
 
 
 def _cmd_fuzz(args) -> CommandOutcome:
     from .inequalities import FAIL
     if args.trials < 1:
         raise LabError("BAD_PARAM", "--trials must be positive")
-    run_trial = _fuzz_trial(args.target)
     rng = random.Random(args.seed)
     rows = []
     counts: dict[str, int] = {}
     first_failure = None
     for trial in range(args.trials):
-        d, status = run_trial(rng)
+        d, status = _fuzz_trial(args.target, rng)
         counts[status] = counts.get(status, 0) + 1
         rows.append((trial, d.fingerprint(), status))
         if status == FAIL and first_failure is None:

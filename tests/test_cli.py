@@ -662,6 +662,11 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
          {"distributions", "conditions", "inequalities", "families"}),
         (("graph", "gen", "--n", "4", "--k", "1"), {"graphs", "distributions", "families"}),
         (("graph", "min-partition", "--graph", "@gnk-4-1.json"), {"graphs", "distributions"}),
+        (("graph", "verify-partition", "--graph", "@gnk-4-1.json",
+          "--partition", "@gnk-4-1-partition.json"), {"graphs", "distributions"}),
+        (("graph", "verify-partition", "--graph", "@gnk-4-1.json",
+          "--partition", "@gnk-4-1-singletons.json"),
+         {"graphs", "distributions", "conditions", "inequalities"}),
         (("graph", "verify-cover", "--graph", "@gnk-4-1.json", "--cover", "@gnk-4-1-cover.json"),
          {"graphs", "distributions", "conditions"}),
         (("graph", "bcc", "--graph", "@gnk-4-1.json", "--method", "exact,entropy,dual,color"),
@@ -670,7 +675,8 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
          {"graphs", "distributions", "conditions", "inequalities"}),
     ],
     ids=["catalog-gen", "check", "info", "verify", "fuzz", "graph-gen", "graph-min-partition",
-         "graph-verify-cover", "graph-bcc", "graph-z-extend"],
+         "graph-verify-partition-invalid", "graph-verify-partition-valid", "graph-verify-cover",
+         "graph-bcc", "graph-z-extend"],
 )
 def test_each_command_loads_only_its_modules(argv, modules):
     """A process imports, and so compiles, only the modules its subcommand
