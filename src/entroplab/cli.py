@@ -355,13 +355,14 @@ def _cmd_graph(args) -> CommandOutcome:
         methods = args.method.split(",")
         bounds = {"entropy": bcc_entropy_bound, "dual": bcc_dual_entropy_bound,
                   "color": bcc_color_bound}
-        for method in methods:  # every name is checked before any work
+        for method in methods:  # every name, and the limit, is checked before any work
             if method != "exact" and method not in bounds:
                 raise LabError("BAD_PARAM", f"unknown bcc method {method!r}")
+        limit = _search_limit(args.limit, COVER_SEARCH_LIMIT) if "exact" in methods else None
         doc = {}
         for method in methods:
             if method == "exact":
-                cover = min_biclique_cover(g, _search_limit(args.limit, COVER_SEARCH_LIMIT))
+                cover = min_biclique_cover(g, limit)
                 doc["exact"] = {
                     "value": len(cover),
                     "cover": [b.to_json_dict() for b in cover],
@@ -506,6 +507,9 @@ def run(argv) -> CommandOutcome:
     except MemoryError:
         # inside the size budgets, but past the memory of this process
         return _document({"error": {"code": "TOO_LARGE", "message": "out of memory"}}, 2)
+    except RecursionError:
+        # inside the size budgets, but past the interpreter's recursion limit
+        return _document({"error": {"code": "TOO_LARGE", "message": "recursion too deep"}}, 2)
 
 
 def main(argv=None) -> int:

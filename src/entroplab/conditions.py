@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .distributions import JointDistribution, Outcome, _as_names, _disjoint, _mass_text
-from .errors import LabError, PreconditionFailed
+from .errors import LabError, PreconditionFailed, Verdict
 
 COND_INDEPENDENCE = "independence"
 COND_CI_GIVEN = "conditional-independence"
@@ -31,30 +31,6 @@ COND_FUNCTIONAL = "functional"
 COND_SUPPORT_SATURATION = "cond-2-B"
 COND_UNIQUE_COMMON_VALUE = "cond-2-C"
 COND_POINTWISE_PRODUCT = "pointwise-product"
-
-
-class _VerdictFields(NamedTuple):
-    condition: str
-    holds: bool
-    witness: dict | None = None
-    detail: str = ""
-
-
-class Verdict(_VerdictFields):
-    """Outcome of one condition check; holds is False iff a witness exists."""
-
-    __slots__ = ()
-
-    def __new__(cls, condition: str, holds: bool, witness: dict | None = None, detail: str = ""):
-        if holds == (witness is not None):
-            raise LabError("BAD_PARAM", "verdict must carry a witness exactly when it fails")
-        return super().__new__(cls, condition, holds, witness, detail)
-
-    def to_json_dict(self) -> dict:
-        doc = {"condition": self.condition, "holds": self.holds, "witness": self.witness}
-        if self.detail:
-            doc["detail"] = self.detail
-        return doc
 
 
 def _value(outcome: Outcome):

@@ -555,7 +555,7 @@ def load_distribution(doc) -> JointDistribution:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
             raise LabError("SCHEMA_ERROR", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LabError("SCHEMA_ERROR", "document must be a JSON object")

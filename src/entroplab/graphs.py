@@ -23,22 +23,17 @@ ground truth for both the covering number and the minimal valid matching
 partition.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .distributions import (
     JointDistribution, TOLERANCE, _at_least, _common, _ratio, _rational_text, _record_json,
     as_fraction,
 )
-from .errors import LabError, PreconditionFailed, TooLarge
-
-if TYPE_CHECKING:
-    from .conditions import Verdict
+from .errors import LabError, PreconditionFailed, TooLarge, Verdict
 
 PROPERTY_STAR = "property-star"
 PROPERTY_DOUBLESTAR = "property-doublestar"
@@ -165,7 +160,7 @@ def _load_object(doc, keys: set, message: str) -> dict:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
             raise LabError("SCHEMA_ERROR", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != keys:
         raise LabError("SCHEMA_ERROR", message)
@@ -496,7 +491,6 @@ def check_property_star(g: ColoredBipartiteGraph) -> Verdict:
     endpoint ({x} x {y, y2} or {x, x2} x {y}), and otherwise exactly when
     both crossing edges (x, y2) and (x2, y) are present.
     """
-    from .conditions import Verdict
     for color, edges in sorted(g.color_classes().items()):
         pairs = sorted(e.pair() for e in edges)
         for (x, y), (x2, y2) in itertools.combinations(pairs, 2):
@@ -513,7 +507,6 @@ def check_property_star(g: ColoredBipartiteGraph) -> Verdict:
 def check_property_doublestar(g: ColoredBipartiteGraph) -> Verdict:
     """Whenever all four edges of a 2x2 cell exist and the two crossing
     edges share a color, each corner edge carries that color too."""
-    from .conditions import Verdict
     for color, edges in sorted(g.color_classes().items()):
         pairs = sorted(e.pair() for e in edges)
         for (x, y2), (x2, y) in itertools.permutations(pairs, 2):
@@ -628,7 +621,6 @@ def maximal_bicliques(g: ColoredBipartiteGraph) -> list[Biclique]:
 
 
 def verify_biclique_cover(g: ColoredBipartiteGraph, cover) -> Verdict:
-    from .conditions import Verdict
     covered = set()
     for b in cover:
         if not b.left or not b.right:

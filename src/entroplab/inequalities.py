@@ -41,13 +41,12 @@ from typing import NamedTuple
 
 from .conditions import (
     PointwiseProductReport,
-    Verdict,
     check_pointwise_product,
     check_support_saturation,
     check_unique_common_value,
 )
 from .distributions import JointDistribution, _at_least, _inverses, _record_json, log2_fraction
-from .errors import LabError, PreconditionFailed
+from .errors import LabError, PreconditionFailed, Verdict
 
 PASS = "PASS"
 FAIL = "FAIL"

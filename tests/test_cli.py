@@ -423,6 +423,17 @@ def test_graph_bcc_checks_every_method_before_any_work(graph_file, monkeypatch):
     assert doc["error"]["code"] == "BAD_PARAM"
 
 
+def test_graph_bcc_checks_the_limit_before_any_work(graph_file, monkeypatch):
+    def bound(g):
+        raise AssertionError("the entropy bound ran before --limit was checked")
+
+    monkeypatch.setattr("entroplab.graphs.bcc_entropy_bound", bound)
+    code, doc = invoke_json("graph", "bcc", "--graph", graph_file(gen_gnk(4, 1)),
+                            "--method", "entropy,exact", "--limit", "-5")
+    assert code == 2
+    assert doc["error"]["code"] == "BAD_PARAM"
+
+
 def test_graph_bcc_shares_property_checks_and_edge_distribution(graph_file, monkeypatch):
     """The exact search's root floor and the printed bounds share one check
     of each coloring property and one edge distribution."""
@@ -493,6 +504,10 @@ _REPEATED_VERTEX = json.dumps({"bicliques": [
     {"left": ["{2}"], "right": ["{1}", "{3}"]},
     {"left": ["{3}"], "right": ["{1}", "{2}"]},
 ]})
+
+
+# A value nested 100,000 lists deep, past the JSON decoder's recursion limit.
+_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def _one_edge(w):
@@ -569,6 +584,10 @@ def _one_edge(w):
          {}, {}, "TOO_LARGE"),
         (("catalog", "gen", "--family", "random-cond2c", "--sizes", "20,20,20,20",
           "--seed", "1"), {}, {}, "TOO_LARGE"),
+        (("info", "report", "--dist", "@bad"),
+         {"bad": '{"variables": ' + _DEEP + ', "atoms": []}'}, {}, "SCHEMA_ERROR"),
+        (("graph", "min-partition", "--graph", "@bad"),
+         {"bad": '{"left": ' + _DEEP + ', "right": [], "edges": []}'}, {}, "SCHEMA_ERROR"),
     ],
 )
 def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):
@@ -585,6 +604,21 @@ def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, fil
     outcome = invoke(*(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
     assert outcome.exit_code == 2
     assert json.loads(outcome.text)["error"]["code"] == code
+
+
+def test_search_past_the_recursion_limit_exits_two_as_too_large(graph_file):
+    """The partition search recurses once per edge, so a perfect matching of
+    1,100 edges passes --limit 2000 but not the interpreter's recursion limit."""
+    n = 1100
+    g = graphs.ColoredBipartiteGraph([f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)],
+                                     [(f"x{i}", f"y{i}", "c") for i in range(n)])
+    result = subprocess.run(
+        [sys.executable, "-m", "entroplab", "graph", "min-partition", "--graph", graph_file(g),
+         "--limit", "2000"],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stderr) == (2, "")
+    assert json.loads(result.stdout)["error"]["code"] == "TOO_LARGE"
 
 
 def test_memory_error_exits_two_as_too_large(monkeypatch):
@@ -668,9 +702,9 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
           "--partition", "@gnk-4-1-singletons.json"),
          {"graphs", "distributions", "conditions", "inequalities"}),
         (("graph", "verify-cover", "--graph", "@gnk-4-1.json", "--cover", "@gnk-4-1-cover.json"),
-         {"graphs", "distributions", "conditions"}),
+         {"graphs", "distributions"}),
         (("graph", "bcc", "--graph", "@gnk-4-1.json", "--method", "exact,entropy,dual,color"),
-         {"graphs", "distributions", "conditions"}),
+         {"graphs", "distributions"}),
         (("graph", "z-extend", "--graph", "@gnk-4-1.json", "--cover", "@gnk-4-1-cover.json"),
          {"graphs", "distributions", "conditions", "inequalities"}),
     ],

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from entroplab.conditions import (
     Lemma3Audit,
-    Verdict,
     audit_lemma1,
     audit_lemma3,
     check_ci_given,
@@ -17,7 +16,7 @@ from entroplab.conditions import (
     check_unique_common_value,
 )
 from entroplab.distributions import JointDistribution, build_markov_fork
-from entroplab.errors import LabError, PreconditionFailed
+from entroplab.errors import LabError, PreconditionFailed, Verdict
 
 from conftest import (
     copied_bit,
