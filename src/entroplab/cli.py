@@ -54,15 +54,6 @@ def _exit_code(failed=False, holds=True, strict=False) -> int:
     return 1 if strict and not holds else 0
 
 
-def _search_limit(flag, default: int) -> int:
-    """The edge cap of an exhaustive search: --limit, else ``default``."""
-    if flag is None:
-        return default
-    if flag < 0:
-        raise LabError("BAD_PARAM", f"the search limit must not be negative, got {flag}")
-    return flag
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -101,7 +92,6 @@ def _require_flag(value, flag: str):
 
 
 def _cmd_catalog_gen(args) -> CommandOutcome:
-    from .distributions import as_fraction
     from .families import (extend_with_random_B, gen_disjoint_sets, gen_distinct_pairs,
                            gen_field_lines, sample_cond2c, sample_random_distribution)
     family = args.family
@@ -110,8 +100,7 @@ def _cmd_catalog_gen(args) -> CommandOutcome:
     elif family == "disjoint-sets":
         d = gen_disjoint_sets(_require_flag(args.n, "--n"), _require_flag(args.k, "--k"))
     elif family == "field-lines":
-        delta = as_fraction(args.delta if args.delta is not None else 0)
-        d = gen_field_lines(_require_flag(args.q_exp, "--q-exp"), delta)
+        d = gen_field_lines(_require_flag(args.q_exp, "--q-exp"), args.delta)
     elif family == "random-support":
         sizes = _parse_sizes(_require_flag(args.sizes, "--sizes"))
         if len(sizes) not in DEFAULT_ROLE_BY_ARITY:
@@ -322,10 +311,10 @@ def _cmd_graph_gen(args) -> CommandOutcome:
 
 
 def _cmd_graph(args) -> CommandOutcome:
-    from .graphs import (COVER_SEARCH_LIMIT, PARTITION_SEARCH_LIMIT, _min_degrees,
-                         bcc_color_bound, bcc_dual_entropy_bound, bcc_entropy_bound,
-                         corollary_bound_check, extend_with_cover_index, load_cover, load_graph,
-                         load_partition, min_biclique_cover, min_valid_matching_partition,
+    from .graphs import (COVER_SEARCH_LIMIT, _min_degrees, _search_cap, bcc_color_bound,
+                         bcc_dual_entropy_bound, bcc_entropy_bound, corollary_bound_check,
+                         extend_with_cover_index, load_cover, load_graph, load_partition,
+                         min_biclique_cover, min_valid_matching_partition,
                          verify_biclique_cover, verify_matching_partition)
     g = load_graph(_read(args.graph))
     action = args.graph_command
@@ -337,7 +326,7 @@ def _cmd_graph(args) -> CommandOutcome:
             doc["corollary"] = corollary_bound_check(g, partition).to_json_dict()
         return _document(doc, _exit_code(holds=report.valid, strict=args.strict))
     if action == "min-partition":
-        k = min_valid_matching_partition(g, _search_limit(args.limit, PARTITION_SEARCH_LIMIT))
+        k = min_valid_matching_partition(g, args.limit)
         left_min, right_min = _min_degrees(g)
         doc = {
             "K": k,
@@ -355,14 +344,15 @@ def _cmd_graph(args) -> CommandOutcome:
         methods = args.method.split(",")
         bounds = {"entropy": bcc_entropy_bound, "dual": bcc_dual_entropy_bound,
                   "color": bcc_color_bound}
-        for method in methods:  # every name, and the limit, is checked before any work
+        for method in methods:  # every name, and the edge cap, is checked before any work
             if method != "exact" and method not in bounds:
                 raise LabError("BAD_PARAM", f"unknown bcc method {method!r}")
-        limit = _search_limit(args.limit, COVER_SEARCH_LIMIT) if "exact" in methods else None
+        if "exact" in methods:
+            _search_cap(g, args.limit, COVER_SEARCH_LIMIT, "cover")
         doc = {}
         for method in methods:
             if method == "exact":
-                cover = min_biclique_cover(g, limit)
+                cover = min_biclique_cover(g, args.limit)
                 doc["exact"] = {
                     "value": len(cover),
                     "cover": [b.to_json_dict() for b in cover],
@@ -412,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int)
     gen.add_argument("--k", type=int)
     gen.add_argument("--q-exp", dest="q_exp", type=int)
-    gen.add_argument("--delta")
+    gen.add_argument("--delta", default="0")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--b-size", dest="b_size", type=int)
     gen.add_argument("--sizes")

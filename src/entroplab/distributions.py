@@ -400,24 +400,14 @@ class JointDistribution:
     def condition(self, event) -> "JointDistribution":
         """Condition on a positive-mass event and renormalize exactly.
 
-        ``event`` is either a mapping from variable names to one symbol or a
-        collection of symbols (an outcome is retained when every constrained
-        variable matches), or an iterable of full outcome tuples naming the
-        retained atoms directly.
+        ``event`` is either a mapping from variable names to one symbol each
+        (an outcome is retained when every named variable takes its symbol),
+        or an iterable of full outcome tuples naming the retained atoms.
         """
         if isinstance(event, Mapping):
             cols = self._columns(tuple(event))
-            allowed = []
-            for value in event.values():
-                if isinstance(value, str):
-                    allowed.append({value})
-                else:
-                    allowed.append(set(value))
-            retained = {
-                outcome
-                for outcome in self.counts
-                if all(outcome[c] in vals for c, vals in zip(cols, allowed))
-            }
+            wanted = tuple(event.values())
+            retained = {o for o in self.counts if tuple(o[c] for c in cols) == wanted}
         else:
             retained = set()
             for item in event:
@@ -545,6 +535,26 @@ def _insert_by_role(names: tuple[str, ...], new: str) -> tuple[str, ...]:
     return names + (new,)
 
 
+def _load_object(doc, keys: set, message: str) -> dict:
+    if isinstance(doc, (str, bytes)):
+        try:
+            doc = json.loads(doc)
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
+            raise LabError("SCHEMA_ERROR", f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or set(doc) != keys:
+        raise LabError("SCHEMA_ERROR", message)
+    if any(not isinstance(value, list) for value in doc.values()):
+        raise LabError("SCHEMA_ERROR", f"{message}, each a list")
+    return doc
+
+
+def _strings(value, what: str, length=None) -> tuple[str, ...]:
+    if (not isinstance(value, list) or any(not isinstance(s, str) for s in value)
+            or length not in (None, len(value))):
+        raise LabError("SCHEMA_ERROR", f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def load_distribution(doc) -> JointDistribution:
     """Parse and validate the JSON wire form.
 
@@ -552,29 +562,15 @@ def load_distribution(doc) -> JointDistribution:
     with p = 0 are dropped with a warning.  Raises LabError with codes
     SCHEMA_ERROR, DUPLICATE_ATOM, NEGATIVE_PROB, or SUM_NOT_ONE.
     """
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
-            raise LabError("SCHEMA_ERROR", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise LabError("SCHEMA_ERROR", "document must be a JSON object")
-    unknown = set(doc) - {"variables", "atoms"}
-    if unknown:
-        raise LabError("SCHEMA_ERROR", f"unexpected keys {sorted(unknown)}")
-    variables = doc.get("variables")
-    rows = doc.get("atoms")
-    if not isinstance(variables, list) or not isinstance(rows, list):
-        raise LabError("SCHEMA_ERROR", "'variables' and 'atoms' must be lists")
-    names = tuple(variables)
-    if any(not isinstance(v, str) for v in names):
-        raise LabError("SCHEMA_ERROR", "variable names must be strings")
+    doc = _load_object(doc, {"variables", "atoms"},
+                       "distribution document needs exactly variables/atoms")
+    names = _strings(doc["variables"], "'variables'")
     name_set = set(names)
     row_keys = {"values", "p"}
     outcomes = []
     nums = []
     dens = []
-    for row in rows:
+    for row in doc["atoms"]:
         if not isinstance(row, dict) or row.keys() != row_keys:
             raise LabError("SCHEMA_ERROR", f"malformed atom row {row!r}")
         values = row["values"]
@@ -583,16 +579,11 @@ def load_distribution(doc) -> JointDistribution:
                 "SCHEMA_ERROR",
                 f"atom values {values!r} do not cover variables {list(names)}",
             )
-        outcome = tuple(map(values.__getitem__, names))
-        try:
-            "".join(outcome)  # a TypeError unless every symbol is a string
-        except TypeError:
-            raise LabError("SCHEMA_ERROR", f"symbols must be strings in {values!r}") from None
         mass = row["p"]
         if isinstance(mass, float):
             raise LabError("SCHEMA_ERROR", "probabilities must be strings or integers")
         num, den = _ratio(mass)
-        outcomes.append(outcome)
+        outcomes.append(tuple(map(values.__getitem__, names)))
         nums.append(num)
         dens.append(den)
     dropped = nums.count(0)

@@ -81,15 +81,11 @@ def _disjoint_set_atoms(n: int, k: int):
 
 def gen_distinct_pairs(n: int) -> JointDistribution:
     """Uniform ordered pair (X, Y) of distinct values in {1..n}; A is the
-    unordered pair, so A determines {X, Y} but not which is which."""
-    if not isinstance(n, int) or n < 2:
-        raise LabError("BAD_PARAM", f"distinct-pairs needs an integer n >= 2, got {n!r}")
-    atoms = {}
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if x != y:
-                atoms[(_set_label((x, y)), str(x), str(y))] = 1
-    return JointDistribution(("A", "X", "Y"), atoms, n * (n - 1))
+    unordered pair, so A determines {X, Y} but not which is which.  This is
+    ``gen_disjoint_sets(n, 1)`` with the braces dropped from X and Y."""
+    d = gen_disjoint_sets(n, 1)
+    counts = {(a, x[1:-1], y[1:-1]): c for (a, x, y), c in d.counts.items()}
+    return JointDistribution(d.variables, counts, d.denominator)
 
 
 def gen_disjoint_sets(n: int, k: int) -> JointDistribution:

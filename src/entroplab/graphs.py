@@ -26,12 +26,13 @@ partition.
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .distributions import (
-    JointDistribution, TOLERANCE, _at_least, _common, _ratio, _rational_text, _record_json,
-    as_fraction,
+    JointDistribution, TOLERANCE, _at_least, _common, _load_object, _ratio, _rational_text,
+    _record_json, _strings, as_fraction,
 )
 from .errors import LabError, PreconditionFailed, TooLarge, Verdict
 
@@ -154,26 +155,6 @@ class ColoredBipartiteGraph:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-
-def _load_object(doc, keys: set, message: str) -> dict:
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
-            raise LabError("SCHEMA_ERROR", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != keys:
-        raise LabError("SCHEMA_ERROR", message)
-    if any(not isinstance(value, list) for value in doc.values()):
-        raise LabError("SCHEMA_ERROR", f"{message}, each a list")
-    return doc
-
-
-def _strings(value, what: str, length=None) -> tuple[str, ...]:
-    if (not isinstance(value, list) or any(not isinstance(s, str) for s in value)
-            or length not in (None, len(value))):
-        raise LabError("SCHEMA_ERROR", f"{what} must be a list of strings, got {value!r}")
-    return tuple(value)
 
 
 def load_graph(doc) -> ColoredBipartiteGraph:
@@ -404,7 +385,19 @@ def corollary_bound_check(g: ColoredBipartiteGraph, partition) -> CorollaryCerti
                                 cert.status, measures)
 
 
-def _partitions(g: ColoredBipartiteGraph, limit: int, cap=None):
+def _search_cap(g: ColoredBipartiteGraph, limit, default: int, search: str) -> None:
+    """The edge cap of an exhaustive search: ``limit``, or ``default`` when
+    it is None.  A negative limit is a bad parameter, and more edges than the
+    limit make the search too large."""
+    if limit is None:
+        limit = default
+    if limit < 0:
+        raise LabError("BAD_PARAM", f"the search limit must not be negative, got {limit}")
+    if len(g.edges) > limit:
+        raise TooLarge(f"{len(g.edges)} edges exceed the {search} search limit {limit}")
+
+
+def _partitions(g: ColoredBipartiteGraph, limit, cap=None):
     """Yield each valid matching partition as a list of parts.
 
     Restricted-growth enumeration: edges are assigned in a fixed order, and
@@ -418,9 +411,15 @@ def _partitions(g: ColoredBipartiteGraph, limit: int, cap=None):
     Without ``cap`` every valid partition comes out.  With one, only
     partitions of fewer than ``cap`` parts are searched for, and each one
     yielded lowers the cap to its own size, so the last one is smallest.
+
+    The walk nests one frame per edge, so more edges than the recursion
+    limit less the frames beneath the walk are refused up front.
     """
-    if len(g.edges) > limit:
-        raise TooLarge(f"{len(g.edges)} edges exceed the partition search limit {limit}")
+    _search_cap(g, limit, PARTITION_SEARCH_LIMIT, "partition")
+    depth = sys.getrecursionlimit() - 10
+    if len(g.edges) > depth:
+        raise TooLarge(f"{len(g.edges)} edges exceed the partition search depth {depth}"
+                       f" that the recursion limit {sys.getrecursionlimit()} allows")
     left_bit = {x: 1 << i for i, x in enumerate(g.left)}
     right_bit = {y: 1 << i for i, y in enumerate(g.right)}
     bits = [(left_bit[e.x], right_bit[e.y]) for e in g.edges]
@@ -466,13 +465,13 @@ def _partitions(g: ColoredBipartiteGraph, limit: int, cap=None):
     yield from walk(0)
 
 
-def iter_valid_matching_partitions(g: ColoredBipartiteGraph, limit=PARTITION_SEARCH_LIMIT):
+def iter_valid_matching_partitions(g: ColoredBipartiteGraph, limit=None):
     """Yield every valid matching partition of the edge set (all-singletons
     is always among them)."""
     yield from _partitions(g, limit)
 
 
-def min_valid_matching_partition(g: ColoredBipartiteGraph, limit=PARTITION_SEARCH_LIMIT) -> int:
+def min_valid_matching_partition(g: ColoredBipartiteGraph, limit=None) -> int:
     """Minimal number of parts over all valid matching partitions."""
     k = len(g.edges)  # the all-singletons partition is always valid
     for parts in _partitions(g, limit, cap=k):
@@ -686,15 +685,14 @@ def _packing_prunes(uncovered, picks, top, holders, cells, reach, biggest) -> bo
     return reached + (picks - len(packed)) * biggest < uncovered.bit_count()
 
 
-def min_biclique_cover(g: ColoredBipartiteGraph, limit=COVER_SEARCH_LIMIT) -> list[Biclique]:
+def min_biclique_cover(g: ColoredBipartiteGraph, limit=None) -> list[Biclique]:
     """An optimal biclique cover by branch-and-bound set cover over the
     maximal bicliques as edge masks (`_cover_masks`); the pivot is the lowest
     uncovered bit, so hashing plays no part.  A node is pruned when the picks
     left to beat the best cover are fewer than ceil(|uncovered| / largest
     biclique) or the packing floor (`_packing_prunes`) needs; the last pick is
     the first holder of the pivot that covers everything left."""
-    if len(g.edges) > limit:
-        raise TooLarge(f"{len(g.edges)} edges exceed the cover search limit {limit}")
+    _search_cap(g, limit, COVER_SEARCH_LIMIT, "cover")
     if not g.edges:
         return []
     cliques, holders, cells, reach = _cover_masks(g)

@@ -434,6 +434,18 @@ def test_graph_bcc_checks_the_limit_before_any_work(graph_file, monkeypatch):
     assert doc["error"]["code"] == "BAD_PARAM"
 
 
+def test_graph_bcc_checks_the_edge_cap_before_any_work(graph_file, monkeypatch):
+    def bound(g):
+        raise AssertionError("the entropy bound ran before the edge cap was checked")
+
+    monkeypatch.setattr("entroplab.graphs.bcc_entropy_bound", bound)
+    code, doc = invoke_json("graph", "bcc", "--graph", graph_file(gen_gnk(4, 1)),
+                            "--method", "entropy,exact", "--limit", "11")
+    assert code == 2
+    assert doc["error"] == {"code": "TOO_LARGE",
+                            "message": "12 edges exceed the cover search limit 11"}
+
+
 def test_graph_bcc_shares_property_checks_and_edge_distribution(graph_file, monkeypatch):
     """The exact search's root floor and the printed bounds share one check
     of each coloring property and one edge distribution."""
@@ -588,6 +600,14 @@ def _one_edge(w):
          {"bad": '{"variables": ' + _DEEP + ', "atoms": []}'}, {}, "SCHEMA_ERROR"),
         (("graph", "min-partition", "--graph", "@bad"),
          {"bad": '{"left": ' + _DEEP + ', "right": [], "edges": []}'}, {}, "SCHEMA_ERROR"),
+        (("info", "report", "--dist", "@bad"),
+         {"bad": '{"variables": ["A"], "atoms": [{"values": {"A": 1}, "p": "1"}]}'}, {},
+         "SCHEMA_ERROR"),
+        (("info", "report", "--dist", "@bad"),
+         {"bad": '{"variables": ["A"], "atoms": [{"values": {"A": "a"}, "p": "1"}], "x": []}'},
+         {}, "SCHEMA_ERROR"),
+        (("info", "report", "--dist", "@bad"), {"bad": '{"variables": ["A"], "atoms": {}}'}, {},
+         "SCHEMA_ERROR"),
     ],
 )
 def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, files, env, code):
@@ -608,7 +628,8 @@ def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, fil
 
 def test_search_past_the_recursion_limit_exits_two_as_too_large(graph_file):
     """The partition search recurses once per edge, so a perfect matching of
-    1,100 edges passes --limit 2000 but not the interpreter's recursion limit."""
+    1,100 edges inside --limit 2000 is refused before the search, with a
+    message naming the depth that the interpreter's recursion limit allows."""
     n = 1100
     g = graphs.ColoredBipartiteGraph([f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)],
                                      [(f"x{i}", f"y{i}", "c") for i in range(n)])
@@ -618,7 +639,11 @@ def test_search_past_the_recursion_limit_exits_two_as_too_large(graph_file):
         capture_output=True, text=True,
     )
     assert (result.returncode, result.stderr) == (2, "")
-    assert json.loads(result.stdout)["error"]["code"] == "TOO_LARGE"
+    assert json.loads(result.stdout)["error"] == {
+        "code": "TOO_LARGE",
+        "message": "1100 edges exceed the partition search depth 990"
+                   " that the recursion limit 1000 allows",
+    }
 
 
 def test_memory_error_exits_two_as_too_large(monkeypatch):

@@ -60,6 +60,13 @@ def test_distinct_pairs_rejects_bad_n(bad):
     assert err.value.code == "BAD_PARAM"
 
 
+def test_distinct_pairs_keeps_the_atom_budget(monkeypatch):
+    monkeypatch.setattr("entroplab.families.ATOM_BUDGET", 5)
+    assert len(gen_distinct_pairs(2).counts) == 2
+    with pytest.raises(TooLarge):
+        gen_distinct_pairs(3)
+
+
 # ---------------------------------------------------------------------------
 # disjoint sets
 

@@ -637,6 +637,13 @@ def test_bcc_size_cap():
         min_biclique_cover(gen_gnk(6, 2))
 
 
+@pytest.mark.parametrize("search", [min_biclique_cover, min_valid_matching_partition])
+def test_negative_search_limit_is_a_bad_parameter(search):
+    with pytest.raises(LabError) as err:
+        search(gen_gnk(4, 1), limit=-1)
+    assert err.value.code == "BAD_PARAM"
+
+
 def test_bound_preconditions_fire_before_values():
     g = ColoredBipartiteGraph(
         ("x1", "x2"), ("y1", "y2"),
