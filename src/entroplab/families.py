@@ -31,12 +31,13 @@ import math
 import random
 from fractions import Fraction
 
-from .distributions import JointDistribution, _common, _insert_by_role, as_fraction, log2_fraction
+from .distributions import JointDistribution, _insert_by_role, as_fraction, log2_fraction
 from .errors import LabError, TooLarge
 
 ATOM_BUDGET = 10**6
 SAMPLER_ATOM_BUDGET = 10**5
 NUMERATOR_RANGE = (1, 1 << 16)
+B_WEIGHT_TOTAL = 1 << 20  # > ATOM_BUDGET: room for distinct B cut points
 
 # minimal-weight irreducible polynomials over GF(2), one per extension degree
 _IRREDUCIBLE = {
@@ -234,7 +235,9 @@ def sample_cond2c(seed: int, sizes) -> JointDistribution:
 def extend_with_random_B(d: JointDistribution, b_size: int, seed: int) -> JointDistribution:
     """Split every atom of ``d`` across ``b_size`` values of a fresh
     variable B with random positive weights; the original marginal is
-    preserved exactly."""
+    preserved exactly.  The weights are the gaps between b_size - 1
+    distinct random cut points in (0, 2^20), so every split shares the
+    denominator d.denominator * 2^20: B adds at most 20 bits to it."""
     if not isinstance(b_size, int) or b_size < 1:
         raise LabError("BAD_PARAM", f"b_size must be a positive integer, got {b_size!r}")
     if "B" in d.variables:
@@ -245,17 +248,9 @@ def extend_with_random_B(d: JointDistribution, b_size: int, seed: int) -> JointD
     rng = random.Random(seed)
     variables = _insert_by_role(d.variables, "B")
     at = variables.index("B")
-    # Atom o of count n splits into masses n w_i / (den * sum of the w),
-    # each put in lowest terms while its integers are small, so that their
-    # lcm is the lowest-terms denominator of the result.
-    outcomes, nums, dens = [], [], []
-    for outcome in sorted(d.counts):
-        weights = _numerators(rng, b_size)
-        n, den = d.counts[outcome], d.denominator * sum(weights)
-        for i, weight in enumerate(weights):
-            g = math.gcd(n * weight, den)
-            outcomes.append(outcome[:at] + (str(i),) + outcome[at:])
-            nums.append(n * weight // g)
-            dens.append(den // g)
-    counts, den = _common(nums, dens)
-    return JointDistribution(variables, dict(zip(outcomes, counts)), den)
+    counts = {}
+    for outcome, n in sorted(d.counts.items()):
+        cuts = [0, *sorted(rng.sample(range(1, B_WEIGHT_TOTAL), b_size - 1)), B_WEIGHT_TOTAL]
+        for i in range(b_size):
+            counts[outcome[:at] + (str(i),) + outcome[at:]] = n * (cuts[i + 1] - cuts[i])
+    return JointDistribution(variables, counts, d.denominator * B_WEIGHT_TOTAL)

@@ -416,7 +416,11 @@ def _partitions(g: ColoredBipartiteGraph, limit, cap=None):
     limit less the frames beneath the walk are refused up front.
     """
     _search_cap(g, limit, PARTITION_SEARCH_LIMIT, "partition")
-    depth = sys.getrecursionlimit() - 10
+    frame, below = sys._getframe(), 0
+    while frame:
+        frame, below = frame.f_back, below + 1
+    # 20 spare levels: the leaf's calls, C-level re-entries (3.10 and 3.11)
+    depth = sys.getrecursionlimit() - below - 20
     if len(g.edges) > depth:
         raise TooLarge(f"{len(g.edges)} edges exceed the partition search depth {depth}"
                        f" that the recursion limit {sys.getrecursionlimit()} allows")

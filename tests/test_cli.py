@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -627,23 +628,46 @@ def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, fil
 
 
 def test_search_past_the_recursion_limit_exits_two_as_too_large(graph_file):
-    """The partition search recurses once per edge, so a perfect matching of
-    1,100 edges inside --limit 2000 is refused before the search, with a
-    message naming the depth that the interpreter's recursion limit allows."""
-    n = 1100
-    g = graphs.ColoredBipartiteGraph([f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)],
-                                     [(f"x{i}", f"y{i}", "c") for i in range(n)])
-    result = subprocess.run(
-        [sys.executable, "-m", "entroplab", "graph", "min-partition", "--graph", graph_file(g),
-         "--limit", "2000"],
-        capture_output=True, text=True,
-    )
-    assert (result.returncode, result.stderr) == (2, "")
-    assert json.loads(result.stdout)["error"] == {
-        "code": "TOO_LARGE",
-        "message": "1100 edges exceed the partition search depth 990"
-                   " that the recursion limit 1000 allows",
-    }
+    """The partition search recurses once per edge, so it refuses, before
+    searching, more edges than the recursion limit less the frames beneath
+    the walk allow, with a message naming that depth, and it finishes on a
+    perfect matching of exactly that many edges.  In process the stack
+    beneath is deeper than in a fresh interpreter, so each reads its own
+    depth from the refusal."""
+
+    def matching(n):
+        return graphs.ColoredBipartiteGraph(
+            [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)],
+            [(f"x{i}", f"y{i}", "c") for i in range(n)])
+
+    def in_process(path):
+        outcome = invoke("graph", "min-partition", "--graph", path, "--limit", "5000")
+        return outcome.exit_code, json.loads(outcome.text)
+
+    def in_subprocess(path):
+        result = subprocess.run(
+            [sys.executable, "-m", "entroplab", "graph", "min-partition", "--graph", path,
+             "--limit", "5000"],
+            capture_output=True, text=True,
+        )
+        assert result.stderr == ""
+        return result.returncode, json.loads(result.stdout)
+
+    refusal = re.compile(r"(\d+) edges exceed the partition search depth (\d+)"
+                         r" that the recursion limit (\d+) allows")
+    for min_partition in (in_process, in_subprocess):
+        code, doc = min_partition(graph_file(matching(sys.getrecursionlimit() + 1)))
+        assert (code, doc["error"]["code"]) == (2, "TOO_LARGE")
+        edges, depth, limit = map(int, refusal.fullmatch(doc["error"]["message"]).groups())
+        assert edges == sys.getrecursionlimit() + 1 and depth < limit
+        code, doc = min_partition(graph_file(matching(depth + 1)))
+        assert (code, doc["error"]) == (2, {
+            "code": "TOO_LARGE",
+            "message": f"{depth + 1} edges exceed the partition search depth {depth}"
+                       f" that the recursion limit {limit} allows",
+        })
+        code, doc = min_partition(graph_file(matching(depth)))
+        assert (code, doc["K"]) == (0, 1)
 
 
 def test_memory_error_exits_two_as_too_large(monkeypatch):

@@ -5,17 +5,20 @@ quantity is evaluated term by term over the full alphabet cube, exactly as
 the module docstrings of ``conditions`` and ``inequalities`` define it, with
 no factoring and no common denominators.  The inputs carry large
 denominators that differ from one marginal table to the next: seeded
-samples extended by a random B column, and sparse conditioned samples.
+samples extended by a random B column, sparse conditioned samples, and a
+recorded field-lines input whose B column was split atom by atom over
+each atom's own weight sum, so that its B marginal needs over 700 bits.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from entroplab.conditions import check_ci_given, check_independence, check_pointwise_product
-from entroplab.distributions import JointDistribution
+from entroplab.distributions import JointDistribution, load_distribution
 from entroplab.families import extend_with_random_B, sample_random_distribution
 from entroplab.inequalities import delta_term, gamma_term
 
@@ -121,7 +124,9 @@ def conditioned_samples():
         yield d.condition(rng.sample(outcomes, rng.randint(1, len(outcomes))))
 
 
-SAMPLES = [*extended_samples(), *conditioned_samples()]
+RECORDED = Path(__file__).parent / "golden" / "inputs" / "field-lines-4-b2.json"
+
+SAMPLES = [*extended_samples(), *conditioned_samples(), load_distribution(RECORDED.read_text())]
 
 
 def test_samples_reach_large_denominators_and_every_verdict():

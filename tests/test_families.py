@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ from entroplab.conditions import (
     check_support_saturation,
     check_unique_common_value,
 )
-from entroplab.distributions import load_distribution
+from entroplab.cli import run
+from entroplab.distributions import JointDistribution, load_distribution
 from entroplab.errors import LabError, TooLarge
 from entroplab.families import (
+    ATOM_BUDGET,
     _gf_mul,
     disjoint_sets_split_gap,
     extend_with_random_B,
@@ -276,6 +279,48 @@ def test_extend_with_random_b_preserves_marginal():
     assert ext.variables == ("A", "B", "X", "Y")
     assert ext.marginal(("A", "X", "Y")) == base
     assert extend_with_random_B(base, 3, seed=5) == ext
+
+
+@pytest.mark.parametrize("b_size", [1, 2, 5])
+def test_extend_with_random_b_shares_one_denominator(b_size):
+    random_base = sample_random_distribution(("A", "X", "Y"), (2, 3, 2), seed=4)
+    for base in (gen_field_lines(3, Fraction(1, 3)), random_base):
+        ext = extend_with_random_B(base, b_size, seed=b_size)
+        assert base.denominator * 2**20 % ext.denominator == 0
+        # every B cell is positive: no atom dropped as a zero count
+        assert len(ext.counts) == len(base.counts) * b_size
+        assert min(ext.counts.values()) > 0
+        assert ext.marginal(("A", "X", "Y")) == base
+
+
+def test_extend_with_random_b_is_a_pure_function_of_the_seed():
+    one = JointDistribution(("A", "X", "Y"), {("a", "x", "y"): 1}, 1)
+    ext = extend_with_random_B(one, 3, seed=0)
+    assert extend_with_random_B(one, 3, seed=0) == ext
+    assert extend_with_random_B(one, 3, seed=1) != ext
+    # the cut points 403959 < 885441 of 2^20, the same on every supported Python
+    assert ext.counts == {("a", "0", "x", "y"): 403959, ("a", "1", "x", "y"): 481482,
+                          ("a", "2", "x", "y"): 163135}
+    assert ext.denominator == 2**20
+
+
+def test_extend_with_random_b_at_the_atom_budget():
+    # 2^20 - 1 possible cut points leave room for any b_size the budget admits
+    one = JointDistribution(("A", "X", "Y"), {("a", "x", "y"): 1}, 1)
+    ext = extend_with_random_B(one, ATOM_BUDGET, seed=2)
+    assert len(ext.counts) == ATOM_BUDGET
+    assert 2**20 % ext.denominator == 0
+
+
+def test_catalog_b_column_adds_at_most_twenty_bits():
+    base_bits = gen_field_lines(4, Fraction(1, 2)).denominator.bit_length()
+    outcome = run(["catalog", "gen", "--family", "field-lines", "--q-exp", "4", "--delta=1/2",
+                   "--b-size", "2", "--seed", "1"])
+    assert outcome.exit_code == 0
+    atoms = json.loads(outcome.text)["atoms"]
+    assert len(atoms) == 2 * 16**4 // 4
+    common = math.lcm(*(Fraction(atom["p"]).denominator for atom in atoms))
+    assert common.bit_length() <= base_bits + 20
 
 
 def test_extend_with_constant_b():
