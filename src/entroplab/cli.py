@@ -311,11 +311,11 @@ def _cmd_graph_gen(args) -> CommandOutcome:
 
 
 def _cmd_graph(args) -> CommandOutcome:
-    from .graphs import (COVER_SEARCH_LIMIT, _min_degrees, _search_cap, bcc_color_bound,
-                         bcc_dual_entropy_bound, bcc_entropy_bound, corollary_bound_check,
-                         extend_with_cover_index, load_cover, load_graph, load_partition,
-                         min_biclique_cover, min_valid_matching_partition,
-                         verify_biclique_cover, verify_matching_partition)
+    from .graphs import (_min_degrees, bcc_color_bound, bcc_dual_entropy_bound,
+                         bcc_entropy_bound, corollary_bound_check, extend_with_cover_index,
+                         load_cover, load_graph, load_partition, min_biclique_cover,
+                         min_valid_matching_partition, verify_biclique_cover,
+                         verify_matching_partition)
     g = load_graph(_read(args.graph))
     action = args.graph_command
     if action == "verify-partition":
@@ -344,19 +344,15 @@ def _cmd_graph(args) -> CommandOutcome:
         methods = args.method.split(",")
         bounds = {"entropy": bcc_entropy_bound, "dual": bcc_dual_entropy_bound,
                   "color": bcc_color_bound}
-        for method in methods:  # every name, and the edge cap, is checked before any work
+        for method in methods:  # every name is checked before any work
             if method != "exact" and method not in bounds:
                 raise LabError("BAD_PARAM", f"unknown bcc method {method!r}")
-        if "exact" in methods:
-            _search_cap(g, args.limit, COVER_SEARCH_LIMIT, "cover")
-        doc = {}
-        for method in methods:
+        doc = dict.fromkeys(methods)
+        if "exact" in doc:  # first, so that its edge cap refuses before any bound runs
+            cover = min_biclique_cover(g, args.limit)
+            doc["exact"] = {"value": len(cover), "cover": [b.to_json_dict() for b in cover]}
+        for method in doc:
             if method == "exact":
-                cover = min_biclique_cover(g, args.limit)
-                doc["exact"] = {
-                    "value": len(cover),
-                    "cover": [b.to_json_dict() for b in cover],
-                }
                 continue
             try:
                 doc[method] = bounds[method](g).to_json_dict()

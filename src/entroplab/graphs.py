@@ -26,7 +26,6 @@ partition.
 import itertools
 import json
 import math
-import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -412,18 +411,12 @@ def _partitions(g: ColoredBipartiteGraph, limit, cap=None):
     partitions of fewer than ``cap`` parts are searched for, and each one
     yielded lowers the cap to its own size, so the last one is smallest.
 
-    The walk nests one frame per edge, so more edges than the recursion
-    limit less the frames beneath the walk are refused up front.
+    The walk is one loop over an explicit stack, the part of each placed
+    edge: the restricted-growth-string walk of Knuth (TAOCP 4A, 7.2.1.5).
+    Backtracking takes the last edge's bits off its part and tries the next
+    part.  No call nests per edge, so the edge cap is the only limit.
     """
     _search_cap(g, limit, PARTITION_SEARCH_LIMIT, "partition")
-    frame, below = sys._getframe(), 0
-    while frame:
-        frame, below = frame.f_back, below + 1
-    # 20 spare levels: the leaf's calls, C-level re-entries (3.10 and 3.11)
-    depth = sys.getrecursionlimit() - below - 20
-    if len(g.edges) > depth:
-        raise TooLarge(f"{len(g.edges)} edges exceed the partition search depth {depth}"
-                       f" that the recursion limit {sys.getrecursionlimit()} allows")
     left_bit = {x: 1 << i for i, x in enumerate(g.left)}
     right_bit = {y: 1 << i for i, y in enumerate(g.right)}
     bits = [(left_bit[e.x], right_bit[e.y]) for e in g.edges]
@@ -431,42 +424,50 @@ def _partitions(g: ColoredBipartiteGraph, limit, cap=None):
     if not shrink:
         cap = len(bits) + 1
     masks: list[tuple[int, int]] = []  # (left mask, right mask) of each part
-    assignment = []
-
-    def walk(index):
-        nonlocal cap
-        used = len(masks)
-        if used >= cap:
-            return
-        if index == len(bits):
+    assignment = []  # the part of each placed edge, in edge order
+    j = 0  # the first part to try for edge len(assignment)
+    while True:
+        used, index = len(masks), len(assignment)
+        if used < cap and index == len(bits):
             if shrink:
                 cap = used
             parts = [[] for _ in range(used)]
-            for e, j in zip(g.edges, assignment):
-                parts[j].append(e.pair())
+            for e, part in zip(g.edges, assignment):
+                parts[part].append(e.pair())
             yield parts
-            return
-        bx, by = bits[index]
-        for j in range(min(used + 1, cap)):
-            if j == used:
-                masks.append((0, 0))
-            left, right = masks[j]
-            if not (left & bx or right & by):
-                grown_left, grown_right = left | bx, right | by
-                masks[j] = (0, 0)  # so that the scan skips part j itself
-                for other_left, other_right in masks:
-                    if grown_left & other_left and grown_right & other_right:
+        elif used < cap:
+            bx, by = bits[index]
+            for j in range(j, used + 1):  # part `used` is a new one
+                if j == used:
+                    masks.append((0, 0))
+                left, right = masks[j]
+                if not (left & bx or right & by):
+                    grown_left, grown_right = left | bx, right | by
+                    masks[j] = (0, 0)  # so that the scan skips part j itself
+                    for other_left, other_right in masks:
+                        if grown_left & other_left and grown_right & other_right:
+                            break
+                    else:
+                        masks[j] = (grown_left, grown_right)
+                        assignment.append(j)
                         break
-                else:
-                    masks[j] = (grown_left, grown_right)
-                    assignment.append(j)
-                    yield from walk(index + 1)
-                    assignment.pop()
-                masks[j] = (left, right)
-            if j == used:
-                masks.pop()
-
-    yield from walk(0)
+                    masks[j] = (left, right)
+                if j == used:
+                    masks.pop()
+            if len(assignment) > index:  # edge `index` took part j: go on to the next edge
+                j = 0
+                continue
+        # backtrack: take the last placed edge out of its part and try the next part
+        if not assignment:
+            return
+        j = assignment.pop()
+        left, right = masks[j]
+        bx, by = bits[len(assignment)]
+        if left == bx and right == by:  # the edge opened part j, the last one
+            masks.pop()
+        else:
+            masks[j] = (left ^ bx, right ^ by)
+        j += 1
 
 
 def iter_valid_matching_partitions(g: ColoredBipartiteGraph, limit=None):

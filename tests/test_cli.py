@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -627,58 +626,35 @@ def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, fil
     assert json.loads(outcome.text)["error"]["code"] == code
 
 
-def test_search_past_the_recursion_limit_exits_two_as_too_large(graph_file):
-    """The partition search recurses once per edge, so it refuses, before
-    searching, more edges than the recursion limit less the frames beneath
-    the walk allow, with a message naming that depth, and it finishes on a
-    perfect matching of exactly that many edges.  In process the stack
-    beneath is deeper than in a fresh interpreter, so each reads its own
-    depth from the refusal."""
-
-    def matching(n):
-        return graphs.ColoredBipartiteGraph(
-            [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)],
-            [(f"x{i}", f"y{i}", "c") for i in range(n)])
-
-    def in_process(path):
-        outcome = invoke("graph", "min-partition", "--graph", path, "--limit", "5000")
-        return outcome.exit_code, json.loads(outcome.text)
-
-    def in_subprocess(path):
-        result = subprocess.run(
-            [sys.executable, "-m", "entroplab", "graph", "min-partition", "--graph", path,
-             "--limit", "5000"],
-            capture_output=True, text=True,
-        )
-        assert result.stderr == ""
-        return result.returncode, json.loads(result.stdout)
-
-    refusal = re.compile(r"(\d+) edges exceed the partition search depth (\d+)"
-                         r" that the recursion limit (\d+) allows")
-    for min_partition in (in_process, in_subprocess):
-        code, doc = min_partition(graph_file(matching(sys.getrecursionlimit() + 1)))
-        assert (code, doc["error"]["code"]) == (2, "TOO_LARGE")
-        edges, depth, limit = map(int, refusal.fullmatch(doc["error"]["message"]).groups())
-        assert edges == sys.getrecursionlimit() + 1 and depth < limit
-        code, doc = min_partition(graph_file(matching(depth + 1)))
-        assert (code, doc["error"]) == (2, {
-            "code": "TOO_LARGE",
-            "message": f"{depth + 1} edges exceed the partition search depth {depth}"
-                       f" that the recursion limit {limit} allows",
-        })
-        code, doc = min_partition(graph_file(matching(depth)))
-        assert (code, doc["K"]) == (0, 1)
+def test_partition_search_past_the_recursion_limit_finishes(graph_file):
+    """The partition search nests no call per edge, so a perfect matching
+    with more edges than the recursion limit finishes, in process and in a
+    fresh interpreter."""
+    n = sys.getrecursionlimit() + 100
+    path = graph_file(graphs.ColoredBipartiteGraph(
+        [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)],
+        [(f"x{i}", f"y{i}", "c") for i in range(n)]))
+    argv = ["graph", "min-partition", "--graph", path, "--limit", "5000"]
+    code, doc = invoke_json(*argv)
+    assert (code, doc["K"]) == (0, 1)
+    result = subprocess.run([sys.executable, "-m", "entroplab", *argv],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["K"] == 1
 
 
 def test_memory_error_exits_two_as_too_large(monkeypatch):
-    def exhausted(*args):
-        raise MemoryError
+    """Both nets in `cli.run`: out of memory, and past the recursion limit
+    (which only the cover search can reach, nesting once per pick)."""
+    for error, message in ((MemoryError, "out of memory"),
+                           (RecursionError, "recursion too deep")):
+        def exhausted(*args, error=error):
+            raise error
 
-    monkeypatch.setattr("entroplab.families.gen_field_lines", exhausted)
-    code, doc = invoke_json("catalog", "gen", "--family", "field-lines", "--q-exp", "5",
-                            "--delta", "1/2", "--b-size", "2", "--seed", "1")
-    assert code == 2
-    assert doc["error"]["code"] == "TOO_LARGE"
+        monkeypatch.setattr("entroplab.families.gen_field_lines", exhausted)
+        code, doc = invoke_json("catalog", "gen", "--family", "field-lines", "--q-exp", "5",
+                                "--delta", "1/2", "--b-size", "2", "--seed", "1")
+        assert (code, doc["error"]) == (2, {"code": "TOO_LARGE", "message": message})
 
 
 def test_exact_cover_ignores_hash_seed(graph_file):

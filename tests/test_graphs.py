@@ -278,6 +278,13 @@ def test_min_partition_g41():
     assert value >= 3 * 3
 
 
+def test_min_partition_crown_values():
+    # K(G(n,1)) for n = 3..7 as measured in ROADMAP.md's baseline table:
+    # K - L*R = (n-1)//2 on each, a measured pattern, not a theorem
+    found = [min_valid_matching_partition(gen_gnk(n, 1), limit=42) for n in range(3, 8)]
+    assert found == [5, 10, 18, 27, 39]
+
+
 def test_min_partition_size_cap():
     with pytest.raises(TooLarge):
         min_valid_matching_partition(gen_gnk(6, 2))
