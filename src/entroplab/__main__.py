@@ -1,5 +1,9 @@
+import gc
 import sys
 
-from .cli import main
+# One command, then exit: the cyclic collector would re-scan live data and free little.
+gc.disable()
+
+from .cli import main  # noqa: E402
 
 sys.exit(main())

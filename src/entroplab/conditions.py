@@ -19,6 +19,7 @@ Condition ids used in verdicts and by the CLI:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -82,51 +83,58 @@ def _check_ci(condition: str, d: JointDistribution, first, second, given) -> Ver
 
 def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verdict:
     """Support-level functional dependence: every cell of ``given`` inside the
-    support determines exactly one value of ``target``."""
+    support determines exactly one value of ``target``.  Decided by counting
+    first: it holds exactly when the table over ``given`` + ``target`` has as
+    many cells as the table over ``given``; only a failure groups and sorts,
+    for the smallest witness."""
     t = _as_names(target)
     g = _as_names(given)
     _disjoint(t, g)
-    for cell, values in d.fibres(g, t).items():
-        if len(values) > 1:
-            witness = {name: val for name, val in zip(g, cell)}
-            witness["a"] = _value(values[0])
-            witness["a2"] = _value(values[1])
-            return Verdict(COND_FUNCTIONAL, False, witness)
-    return Verdict(COND_FUNCTIONAL, True)
+    if d._size(g + t) == d._size(g):
+        return Verdict(COND_FUNCTIONAL, True)
+    cell, values = next(item for item in d.fibres(g, t).items() if len(item[1]) > 1)
+    witness = {name: val for name, val in zip(g, cell)}
+    witness["a"] = _value(values[0])
+    witness["a2"] = _value(values[1])
+    return Verdict(COND_FUNCTIONAL, False, witness)
 
 
 def check_support_saturation(d: JointDistribution) -> Verdict:
     """cond-2-B: whenever a is possible with x and possible with y, the triple
-    (a, x, y) itself has positive mass."""
+    (a, x, y) itself has positive mass.  Decided by counting first: it holds
+    exactly when the (A, X, Y) table has sum over a of |X_a| |Y_a| cells, with
+    X_a and Y_a the x and y possible with a; only a failure scans, in sorted
+    order, for the smallest witness."""
     taxy = d._table(("A", "X", "Y"))[0]
-    for (a,), xs, ys in d.cells("A", "X", "Y"):
-        for (x,) in xs:
-            for (y,) in ys:
-                if (a, x, y) not in taxy:
-                    return Verdict(
-                        COND_SUPPORT_SATURATION,
-                        False,
-                        {"a": a, "x": x, "y": y},
-                    )
-    return Verdict(COND_SUPPORT_SATURATION, True)
+    xs_per_a = Counter(a for a, _ in d._table(("A", "X"))[0])
+    ys_per_a = Counter(a for a, _ in d._table(("A", "Y"))[0])
+    if sum(n * ys_per_a[a] for a, n in xs_per_a.items()) == len(taxy):
+        return Verdict(COND_SUPPORT_SATURATION, True)
+    a, x, y = next(
+        (a, x, y)
+        for (a,), xs, ys in d.cells("A", "X", "Y")
+        for (x,) in xs
+        for (y,) in ys
+        if (a, x, y) not in taxy
+    )
+    return Verdict(COND_SUPPORT_SATURATION, False, {"a": a, "x": x, "y": y})
 
 
 def check_unique_common_value(d: JointDistribution) -> Verdict:
     """cond-2-C: no two distinct values of A are both possible with some x and
     both possible with some y.  The quantifier runs over every (x, y) pair of
     marginal support values, including pairs with p(x, y) = 0."""
-    # values of A sharing positive mass with each x and with each y
-    by_x = {x: {a for (a,) in cells} for (x,), cells in d.fibres("X", "A").items()}
-    by_y = {y: {a for (a,) in cells} for (y,), cells in d.fibres("Y", "A").items()}
-    best = None
-    for x in by_x:
-        for y in by_y:
-            common = by_x[x] & by_y[y]
-            if len(common) > 1:
-                lo, hi = sorted(common)[:2]
-                candidate = (lo, hi, x, y)
-                if best is None or candidate < best:
-                    best = candidate
+    # values of A sharing positive mass with each x and with each y, read
+    # from the keys of the (A, X) and (A, Y) tables
+    by_x, by_y = {}, {}
+    for found, role in ((by_x, "X"), (by_y, "Y")):
+        for a, v in d._table(("A", role))[0]:
+            found.setdefault(v, set()).add(a)
+    best = min(
+        ((*sorted(common)[:2], x, y)
+         for x in by_x for y in by_y if len(common := by_x[x] & by_y[y]) > 1),
+        default=None,
+    )
     if best is None:
         return Verdict(COND_UNIQUE_COMMON_VALUE, True)
     a, a2, x, y = best

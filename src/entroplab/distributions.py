@@ -233,7 +233,7 @@ class JointDistribution:
     marginal tables are cached internally.
     """
 
-    __slots__ = ("variables", "counts", "denominator", "_tables", "_entropies")
+    __slots__ = ("variables", "counts", "denominator", "_tables", "_fibres", "_entropies")
 
     def __init__(self, variables: Iterable[str], counts, denominator: int):
         variables = tuple(variables)
@@ -275,6 +275,7 @@ class JointDistribution:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "denominator", denominator // g)
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_fibres", {})
         object.__setattr__(self, "_entropies", {})
 
     def __setattr__(self, name, value):
@@ -359,18 +360,31 @@ class JointDistribution:
         self._tables[names] = (counts, den)
         return counts, den
 
+    def _size(self, variables: Iterable[str] | str) -> int:
+        """The number of cells of ``_table(variables)``, which depends only on
+        the set of columns: a cached table over that set in any order answers."""
+        names = _as_names(variables)
+        wanted = set(names)
+        for known, (counts, _) in self._tables.items():
+            if set(known) == wanted:
+                return len(counts)
+        return len(self._table(names)[0])
+
     def fibres(self, group, rest) -> dict[Outcome, list[Outcome]]:
         """The support of ``_table(group + rest)`` split by its ``group`` part:
         each group cell, in sorted order, maps to the sorted ``rest`` cells it
-        occurs with.  Built afresh from the cached table on every call: kept,
-        the map of a fine grouping would cost as much memory as the table."""
+        occurs with.  Cached per ``(group, rest)``; treat it as read-only."""
         group = _as_names(group)
-        width = len(group)
-        keys = sorted(self._table(group + _as_names(rest))[0])
-        return {
-            cell: [key[width:] for key in run]
-            for cell, run in groupby(keys, itemgetter(slice(width)))
-        }
+        rest = _as_names(rest)
+        cached = self._fibres.get((group, rest))
+        if cached is None:
+            width = len(group)
+            keys = sorted(self._table(group + rest)[0])
+            cached = self._fibres[group, rest] = {
+                cell: [key[width:] for key in run]
+                for cell, run in groupby(keys, itemgetter(slice(width)))
+            }
+        return cached
 
     def cells(self, group, first, second) -> Iterator[tuple[Outcome, list[Outcome], list[Outcome]]]:
         """Yield ``(g, xs, ys)`` for every group cell g of positive mass, in
@@ -504,13 +518,17 @@ class JointDistribution:
             values = "{\n" + values + "\n      }"
         else:
             variables, values = "[]", "{}"
-        # one %-template per atom row: the quoted symbols, then the mass
+        # one %-template per atom row: the quoted symbols, then the mass; each
+        # distinct symbol is quoted once, each run of equal counts formatted once
         row = '    {\n      "values": ' + values + ',\n      "p": "%s"\n    }'
         den = self.denominator
-        rows = [
-            row % (*map(_quote, outcome), _mass_text(n, den))
-            for outcome, n in sorted(self.counts.items())
-        ]
+        quoted = {s: _quote(s) for s in set().union(*self.counts)}.__getitem__
+        rows = []
+        last = None
+        for outcome, n in sorted(self.counts.items()):
+            if n != last:
+                last, mass = n, _mass_text(n, den)
+            rows.append(row % (*map(quoted, outcome), mass))
         atoms = ",\n".join(rows)
         return '{\n  "variables": ' + variables + ',\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
 
@@ -570,6 +588,7 @@ def load_distribution(doc) -> JointDistribution:
     outcomes = []
     nums = []
     dens = []
+    last = None  # a run of equal mass strings is parsed once
     for row in doc["atoms"]:
         if not isinstance(row, dict) or row.keys() != row_keys:
             raise LabError("SCHEMA_ERROR", f"malformed atom row {row!r}")
@@ -580,9 +599,11 @@ def load_distribution(doc) -> JointDistribution:
                 f"atom values {values!r} do not cover variables {list(names)}",
             )
         mass = row["p"]
-        if isinstance(mass, float):
-            raise LabError("SCHEMA_ERROR", "probabilities must be strings or integers")
-        num, den = _ratio(mass)
+        if type(mass) is not str or mass != last:
+            if isinstance(mass, float):
+                raise LabError("SCHEMA_ERROR", "probabilities must be strings or integers")
+            num, den = _ratio(mass)
+            last = mass
         outcomes.append(tuple(map(values.__getitem__, names)))
         nums.append(num)
         dens.append(den)
@@ -591,40 +612,6 @@ def load_distribution(doc) -> JointDistribution:
         warnings.warn(f"dropped {dropped} zero-mass atoms", stacklevel=2)
     counts, denominator = _common(nums, dens)
     return JointDistribution(names, zip(outcomes, counts), denominator)
-
-
-def build_markov_fork(d: JointDistribution) -> JointDistribution:
-    """Replace the coupling between X and Y with the conditional-independence
-    fork given (A, B): p'(a,b,x,y) = p(a,b,x) * p(a,b,y) / p(a,b).
-
-    The (A,B,X) and (A,B,Y) marginals are preserved exactly and the support
-    can only grow.  B is optional; when absent the fork conditions on A
-    alone.  The variables must be exactly A, X, Y and optionally B.
-    """
-    allowed = {"A", "B", "X", "Y"} if "B" in d.variables else {"A", "X", "Y"}
-    if set(d.variables) != allowed:
-        raise LabError(
-            "SCHEMA_ERROR",
-            f"fork needs variables A, X, Y and optionally B, got {d.variables}",
-        )
-    group = ("A", "B") if "B" in d.variables else ("A",)
-    gx, den_x = d._table(group + ("X",))
-    gy, den_y = d._table(group + ("Y",))
-    gg, den_g = d._table(group)
-    # p(g,x) p(g,y) / p(g) = n(g,x) n(g,y) den_g (L / n(g)) / (den_x den_y L)
-    inverse, lcm = _inverses(gg)
-    places = [d.variables.index(name) for name in group + ("X", "Y")]
-    counts: Counts = {}
-    for g, xs, ys in d.cells(group, "X", "Y"):
-        factor = inverse[g] * den_g
-        for x in xs:
-            nx = gx[g + x] * factor
-            for y in ys:
-                outcome = [None] * len(places)
-                for place, value in zip(places, g + x + y):
-                    outcome[place] = value
-                counts[tuple(outcome)] = nx * gy[g + y]
-    return JointDistribution(d.variables, counts, den_x * den_y * lcm)
 
 
 def info_report(d: JointDistribution) -> dict[str, float]:

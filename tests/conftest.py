@@ -5,6 +5,7 @@ the package, so expected values in the tests come from closed forms rather
 than from the code under test.
 """
 
+import math
 import random
 
 import pytest
@@ -59,6 +60,28 @@ def random_support_distribution(rng, variables=("A", "B", "X", "Y"), max_size=3)
     support = rng.sample(cells, count)
     nums = [rng.randint(1, 100) for _ in support]
     return JointDistribution(variables, dict(zip(support, nums)), sum(nums))
+
+
+def markov_fork(d):
+    """The conditional-independence fork of X and Y given the other roles
+    (A, and B when present): p'(g, x, y) = p(g, x) p(g, y) / p(g), summed
+    from the Fraction atom masses.  The (g, X) and (g, Y) marginals are kept
+    and the support can only grow."""
+    col = {v: i for i, v in enumerate(d.variables)}
+    group = tuple(v for v in d.variables if v not in ("X", "Y"))
+    gx, gy, gg = {}, {}, {}
+    for outcome, p in d.atoms.items():
+        g = tuple(outcome[col[v]] for v in group)
+        for table, key in ((gx, (g, outcome[col["X"]])), (gy, (g, outcome[col["Y"]])), (gg, g)):
+            table[key] = table.get(key, 0) + p
+    masses = {}
+    for (g, x), px in gx.items():
+        for (h, y), py in gy.items():
+            if g == h:
+                values = dict(zip(group, g), X=x, Y=y)
+                masses[tuple(values[v] for v in d.variables)] = px * py / gg[g]
+    den = math.lcm(*(m.denominator for m in masses.values()))
+    return JointDistribution(d.variables, {o: int(m * den) for o, m in masses.items()}, den)
 
 
 @st.composite

@@ -1,10 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 
 from entroplab.conditions import (
+    COND_FUNCTIONAL,
+    COND_SUPPORT_SATURATION,
+    COND_UNIQUE_COMMON_VALUE,
     Lemma3Audit,
     audit_lemma1,
     audit_lemma3,
@@ -15,12 +20,14 @@ from entroplab.conditions import (
     check_support_saturation,
     check_unique_common_value,
 )
-from entroplab.distributions import JointDistribution, build_markov_fork
+from entroplab.distributions import JointDistribution, load_distribution
 from entroplab.errors import LabError, PreconditionFailed, Verdict
+from entroplab.families import gen_field_lines
 
 from conftest import (
     copied_bit,
     independent_bits,
+    markov_fork,
     pairs_triple,
     random_support_distribution,
     sparse_triples,
@@ -75,7 +82,7 @@ def test_fork_output_satisfies_ci_given_group():
     rng = random.Random(3)
     for _ in range(25):
         d = random_support_distribution(rng, ("A", "X", "Y"), max_size=3)
-        f = build_markov_fork(d)
+        f = markov_fork(d)
         assert check_ci_given(f, "X", "Y", "A").holds
 
 
@@ -164,6 +171,107 @@ def test_unique_common_value_sees_incompatible_cells():
 
 def test_pairs_triple_fails_unique_common_value():
     assert not check_unique_common_value(pairs_triple(5)).holds
+
+
+# ---------------------------------------------------------------------------
+# counting first: the support checks against plain sorted scans
+#
+# The scans below group every table themselves and test each cell, as the
+# checks did before they decided a passing case by counting table cells.
+
+
+def _scan_fibres(d, group, rest):
+    width = len(group)
+    keys = sorted(d._table(group + rest)[0])
+    return {cell: [key[width:] for key in run]
+            for cell, run in groupby(keys, itemgetter(slice(width)))}
+
+
+def scan_functional(d, target=("A",), given=("X", "Y")):
+    for cell, values in _scan_fibres(d, given, target).items():
+        if len(values) > 1:
+            witness = dict(zip(given, cell))
+            for key, value in zip(("a", "a2"), values):
+                witness[key] = value[0] if len(value) == 1 else list(value)
+            return Verdict(COND_FUNCTIONAL, False, witness)
+    return Verdict(COND_FUNCTIONAL, True)
+
+
+def scan_support_saturation(d):
+    taxy = d._table(("A", "X", "Y"))[0]
+    ys_by_a = _scan_fibres(d, ("A",), ("Y",))
+    for (a,), xs in _scan_fibres(d, ("A",), ("X",)).items():
+        for (x,) in xs:
+            for (y,) in ys_by_a[(a,)]:
+                if (a, x, y) not in taxy:
+                    return Verdict(COND_SUPPORT_SATURATION, False, {"a": a, "x": x, "y": y})
+    return Verdict(COND_SUPPORT_SATURATION, True)
+
+
+def scan_unique_common_value(d):
+    by_x = {x: {a for (a,) in cells} for (x,), cells in _scan_fibres(d, ("X",), ("A",)).items()}
+    by_y = {y: {a for (a,) in cells} for (y,), cells in _scan_fibres(d, ("Y",), ("A",)).items()}
+    best = None
+    for x in by_x:
+        for y in by_y:
+            common = sorted(by_x[x] & by_y[y])
+            if len(common) > 1 and (best is None or (*common[:2], x, y) < best):
+                best = (*common[:2], x, y)
+    if best is None:
+        return Verdict(COND_UNIQUE_COMMON_VALUE, True)
+    a, a2, x, y = best
+    return Verdict(COND_UNIQUE_COMMON_VALUE, False, {"a": a, "a2": a2, "x": x, "y": y})
+
+
+SCANNED_CHECKS = [
+    ("functional", check_functional, scan_functional),
+    ("functional of (A, B) given X",
+     lambda d: check_functional(d, ("A", "B"), "X"),
+     lambda d: scan_functional(d, ("A", "B"), ("X",))),
+    ("cond-2-B", check_support_saturation, scan_support_saturation),
+    ("cond-2-C", check_unique_common_value, scan_unique_common_value),
+]
+
+
+def test_counting_checks_match_the_sorted_scans():
+    """Same holds, witness and detail as the plain scans, on random supports
+    over every role set the checks read (a missing B or Y is a constant
+    column), dense and conditioned down to a few atoms; both on a fresh
+    distribution and on one whose (A, X, Y) table is already cached, as
+    `check --all` leaves it."""
+    role_sets = [("A", "B", "X", "Y"), ("A", "X", "Y"), ("A", "X"), ("X", "A", "B")]
+    rng = random.Random(16)
+    outcomes = set()
+    for trial in range(400):
+        d = random_support_distribution(rng, role_sets[trial % 4], max_size=3)
+        if trial % 3 == 0:
+            kept = rng.sample(sorted(d.counts), rng.randint(1, len(d.counts)))
+            d = d.condition(kept)
+        warm = JointDistribution(d.variables, d.counts, d.denominator)
+        check_ci_given(warm, "X", "Y", "A")
+        for name, check, scan in SCANNED_CHECKS:
+            expected = scan(d)
+            for fresh in (JointDistribution(d.variables, d.counts, d.denominator), warm):
+                got = check(fresh)
+                assert (got.holds, got.witness, got.detail) == (
+                    expected.holds, expected.witness, expected.detail), (name, trial)
+                assert got == expected
+            outcomes.add((name, expected.holds))
+    assert len(outcomes) == 2 * len(SCANNED_CHECKS)  # each check both held and failed
+
+
+def test_every_check_groups_each_table_once():
+    """After every check of `check --all` on a loaded field-lines q=8 input,
+    no (X, A) or (Y, A) table and no second table over {A, X, Y} exists,
+    and a second fibre request returns the cached map."""
+    from entroplab.cli import _conditions
+    d = load_distribution(gen_field_lines(3, "1/2").dumps())
+    verdicts = {name: check(d) for name, check in _conditions().items()}
+    assert verdicts["functional"].holds and verdicts["cond-2-B"].holds
+    assert ("X", "A") not in d._tables and ("Y", "A") not in d._tables
+    assert [names for names in d._tables if set(names) == {"A", "X", "Y"}] == [("A", "X", "Y")]
+    assert d.fibres("A", "X") is d.fibres(("A",), ("X",))
+    assert d.fibres(("A", "B"), "Y") is d.fibres(("A", "B"), "Y")
 
 
 # ---------------------------------------------------------------------------

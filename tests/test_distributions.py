@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from entroplab.distributions import (
     JointDistribution,
-    build_markov_fork,
     info_report,
     load_distribution,
     log2_fraction,
@@ -19,6 +18,7 @@ from entroplab.families import extend_with_random_B, sample_random_distribution
 from conftest import (
     copied_bit,
     independent_bits,
+    markov_fork,
     pairs_triple,
     random_support_distribution,
     xor_triple,
@@ -120,6 +120,31 @@ def test_load_rejects_malformed_documents(doc):
     with pytest.raises(LabError) as err:
         load_distribution(doc)
     assert err.value.code in {"SCHEMA_ERROR"}
+
+
+def _atoms(*masses):
+    return {"variables": ["A"],
+            "atoms": [{"values": {"A": f"a{i}"}, "p": p} for i, p in enumerate(masses)]}
+
+
+def test_load_parses_a_run_of_equal_masses_once_with_the_same_errors():
+    """A run of equal mass strings is parsed once: a bad string repeated
+    still fails as it does alone, a float is refused after an equal string
+    or integer mass, and equal strings after a different one still load."""
+    for bad in ("x/y", "1/0", "1e-99999"):
+        with pytest.raises(LabError) as alone:
+            load_distribution(_atoms(bad, "1"))
+        with pytest.raises(LabError) as repeated:
+            load_distribution(_atoms(bad, bad, bad))
+        assert (repeated.value.code, str(repeated.value)) == ("SCHEMA_ERROR", str(alone.value))
+    for masses in (("1/2", 0.5), ("1/2", "1/2", 0.5), (1, 1.0), ("0", 0.0, "1")):
+        with pytest.raises(LabError) as err:
+            load_distribution(_atoms(*masses))
+        assert (err.value.code, str(err.value)) == (
+            "SCHEMA_ERROR", "probabilities must be strings or integers")
+    d = load_distribution(_atoms("1/4", "1/4", "1/8", "1/4", "1/8"))
+    assert [d.atoms[(f"a{i}",)] for i in range(5)] == [Fraction(1, 4)] * 2 + [
+        Fraction(1, 8), Fraction(1, 4), Fraction(1, 8)]
 
 
 MASS_STRINGS = [
@@ -344,7 +369,7 @@ def test_marginal_masses_stay_exact(d):
 
 
 def test_fork_of_xor_fills_the_cube():
-    f = build_markov_fork(xor_triple())
+    f = markov_fork(xor_triple())
     assert len(f.atoms) == 8
     assert all(mass == Fraction(1, 8) for mass in f.atoms.values())
 
@@ -353,7 +378,7 @@ def test_fork_preserves_group_marginals_exactly():
     rng = random.Random(11)
     for _ in range(50):
         d = random_support_distribution(rng, ("A", "B", "X", "Y"), max_size=3)
-        f = build_markov_fork(d)
+        f = markov_fork(d)
         assert f.marginal(("A", "B", "X")) == d.marginal(("A", "B", "X"))
         assert f.marginal(("A", "B", "Y")) == d.marginal(("A", "B", "Y"))
         assert set(d.atoms) <= set(f.atoms)
@@ -363,21 +388,14 @@ def test_fork_is_idempotent_and_fixes_conditionally_independent_inputs():
     rng = random.Random(12)
     for _ in range(25):
         d = random_support_distribution(rng, ("A", "X", "Y"), max_size=3)
-        f = build_markov_fork(d)
-        assert build_markov_fork(f) == f
+        f = markov_fork(d)
+        assert markov_fork(f) == f
 
 
 def test_fork_makes_x_y_independent_given_group():
     d = xor_triple()
-    f = build_markov_fork(d)
+    f = markov_fork(d)
     assert f.mutual_info("X", "Y", "A") == pytest.approx(0.0, abs=TOL)
-
-
-def test_fork_rejects_unexpected_variables():
-    d = JointDistribution(("A", "Q"), {("a", "q"): 1}, 1)
-    with pytest.raises(LabError) as err:
-        build_markov_fork(d)
-    assert err.value.code == "SCHEMA_ERROR"
 
 
 # ---------------------------------------------------------------------------

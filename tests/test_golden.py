@@ -1,4 +1,5 @@
-"""Golden corpus: recorded CLI invocations replayed in process.
+"""Golden corpus: recorded CLI invocations replayed in process, and a few
+of them through the ``python -m entroplab`` entry point.
 
 ``golden/cases.json`` maps a case name to its argv, in which ``@name``
 stands for the file ``golden/inputs/name``, and to the expected exit code;
@@ -11,6 +12,8 @@ and review the diff before committing it.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,10 +23,19 @@ from entroplab.cli import run
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
+# Cases replayed in a fresh interpreter too: the entry point runs with the
+# cyclic collector off, which no in-process replay exercises.
+ENTRY_POINT_CASES = ["info-disjoint-sets", "check-all-field-lines-b", "fuzz-theorem1",
+                     "graph-bcc-exact"]
+
+
+def _argv(argv):
+    inputs = GOLDEN / "inputs"
+    return [str(inputs / a[1:]) if a.startswith("@") else a for a in argv]
+
 
 def _replay(argv):
-    inputs = GOLDEN / "inputs"
-    return run([str(inputs / a[1:]) if a.startswith("@") else a for a in argv])
+    return run(_argv(argv))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -32,6 +44,15 @@ def test_golden(name):
     outcome = _replay(case["argv"])
     assert outcome.exit_code == case["exit_code"]
     assert outcome.text == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", ENTRY_POINT_CASES)
+def test_golden_through_the_entry_point(name):
+    case = CASES[name]
+    result = subprocess.run([sys.executable, "-m", "entroplab", *_argv(case["argv"])],
+                            capture_output=True)
+    assert result.returncode == case["exit_code"]
+    assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":
