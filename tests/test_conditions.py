@@ -6,6 +6,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings
 
+from entroplab.cli import _conditions
 from entroplab.conditions import (
     COND_FUNCTIONAL,
     COND_SUPPORT_SATURATION,
@@ -252,10 +253,7 @@ def test_counting_checks_match_the_sorted_scans():
         for name, check, scan in SCANNED_CHECKS:
             expected = scan(d)
             for fresh in (JointDistribution(d.variables, d.counts, d.denominator), warm):
-                got = check(fresh)
-                assert (got.holds, got.witness, got.detail) == (
-                    expected.holds, expected.witness, expected.detail), (name, trial)
-                assert got == expected
+                assert check(fresh) == expected, (name, trial)  # condition, holds, witness, detail
             outcomes.add((name, expected.holds))
     assert len(outcomes) == 2 * len(SCANNED_CHECKS)  # each check both held and failed
 
@@ -264,7 +262,6 @@ def test_every_check_groups_each_table_once():
     """After every check of `check --all` on a loaded field-lines q=8 input,
     no (X, A) or (Y, A) table and no second table over {A, X, Y} exists,
     and a second fibre request returns the cached map."""
-    from entroplab.cli import _conditions
     d = load_distribution(gen_field_lines(3, "1/2").dumps())
     verdicts = {name: check(d) for name, check in _conditions().items()}
     assert verdicts["functional"].holds and verdicts["cond-2-B"].holds
