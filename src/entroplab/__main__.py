@@ -1,9 +1,15 @@
 import gc
 import sys
 
-# One command, then exit: the cyclic collector would re-scan live data and free little.
-gc.disable()
 
-from .cli import main  # noqa: E402
+def main() -> int:
+    """The process entry of ``python -m entroplab`` and the ``entroplab`` script."""
+    gc.disable()  # one command, then exit: collections would re-scan live data and free little
+    from .cli import main as command
+    code = command()
+    gc.freeze()  # the interpreter still collects at shutdown, skipping frozen objects
+    return code
 
-sys.exit(main())
+
+if __name__ == "__main__":
+    sys.exit(main())

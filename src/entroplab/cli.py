@@ -19,6 +19,7 @@ compiles, only the modules of its subcommand.
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -276,15 +277,14 @@ def _cmd_fuzz(args) -> CommandOutcome:
     for trial in range(args.trials):
         d, status = _fuzz_trial(args.target, rng)
         counts[status] = counts.get(status, 0) + 1
-        rows.append((trial, d.fingerprint(), status))
+        if args.csv:  # a fingerprint hashes the whole emission: made only to print
+            rows.append(f"{trial},{d.fingerprint()},{status}")
         if status == FAIL and first_failure is None:
-            first_failure = {"trial": trial, "fingerprint": rows[-1][1]}
+            first_failure = {"trial": trial, "fingerprint": d.fingerprint()}
     failures = counts.get(FAIL, 0)
     exit_code = _exit_code(failed=failures > 0)
     if args.csv:
-        lines = ["trial,fingerprint,status"]
-        lines += [f"{t},{fp},{status}" for t, fp, status in rows]
-        return CommandOutcome(exit_code, "\n".join(lines) + "\n")
+        return CommandOutcome(exit_code, "\n".join(["trial,fingerprint,status", *rows]) + "\n")
     doc = {
         "target": args.target,
         "trials": args.trials,
@@ -501,9 +501,15 @@ def run(argv) -> CommandOutcome:
 def main(argv=None) -> int:
     outcome = run(sys.argv[1:] if argv is None else argv)
     if outcome.text:
-        sys.stdout.write(outcome.text)
+        try:
+            if sys.stdout is None:  # the process started with fd 1 closed
+                raise OSError("stdout is closed")
+            sys.stdout.write(outcome.text)
+            sys.stdout.flush()
+        except OSError as exc:
+            doc = {"error": {"code": "IO_ERROR", "message": f"cannot write stdout: {exc}"}}
+            sys.stderr.write(_document(doc).text)
+            # the Python docs' SIGPIPE recipe: the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            return 2
     return outcome.exit_code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

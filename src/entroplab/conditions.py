@@ -23,8 +23,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .distributions import JointDistribution, Outcome, _as_names, _disjoint, _mass_text
-from .errors import LabError, PreconditionFailed, Verdict
+from .distributions import JointDistribution, Outcome, _as_names, _disjoint
+from .errors import LabError, PreconditionFailed, Verdict, _mass_text
 
 COND_INDEPENDENCE = "independence"
 COND_CI_GIVEN = "conditional-independence"

@@ -10,8 +10,7 @@ cross-multiplication.  ``fractions.Fraction`` appears only at the edges:
 mass strings other than plain ``n/d``, the public ``atoms`` view (made on
 each access, never cached), and the power-sum certificates.  Information
 measures are returned in bits (base-2 logarithm, double precision).
-``TOLERANCE`` is the absolute slack of every float comparison, applied
-through ``_at_least``.
+The input rules it shares with ``graphs`` are in ``errors``.
 
 The JSON wire form is::
 
@@ -30,9 +29,7 @@ is the constant variable wherever a measure or a condition names it.
 
 from __future__ import annotations
 
-import json
 import math
-import re
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
@@ -41,14 +38,8 @@ from itertools import combinations, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import LabError, TooLarge
-
-TOLERANCE = 1e-9
-
-# Fraction expands a decimal exponent into a power of ten before any size
-# check, so one past Python's default int-to-str digit limit is refused.
-MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?(\d+)\s*\Z", re.IGNORECASE)
+from .errors import (LabError, _at_least, _load_object, _mass_text, _rational_text, _strings,
+                     as_fraction)
 
 # Canonical role order, used when an extension inserts a new role column
 # into an existing distribution.  A role a distribution lacks reads as the
@@ -59,28 +50,6 @@ MISSING_ROLE_SYMBOL = "*"
 Symbol = str
 Outcome = tuple[Symbol, ...]
 Counts = dict[Outcome, int]
-
-
-def as_fraction(value: object) -> Fraction:
-    """Parse an exact probability from an int, a Fraction, or a string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise LabError("SCHEMA_ERROR", f"probability {value!r} is not a rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        match = _EXPONENT.search(value)
-        exponent = match[1].lstrip("0") if match else ""
-        if len(exponent) > 4 or int(exponent or 0) > MAX_EXPONENT:
-            raise LabError("SCHEMA_ERROR", f"decimal exponent of {value!r} exceeds {MAX_EXPONENT}")
-        try:
-            if "_" in value:  # Fraction takes "_" separators only from Python 3.11 on
-                raise ValueError
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LabError("SCHEMA_ERROR", f"cannot parse probability {value!r}") from exc
-    raise LabError("SCHEMA_ERROR", f"probability {value!r} must be a string or an integer")
 
 
 def _ratio(value: object) -> tuple[int, int]:
@@ -122,38 +91,10 @@ def _common(nums: Iterable[int], dens: list[int]) -> tuple[list[int], int]:
     return [num * scale[den] for num, den in zip(nums, dens)], lcm
 
 
-def _rational_text(q: Fraction) -> str:
-    # str(q), or its size when a part has too many digits to print
-    try:
-        return str(q)
-    except ValueError:
-        return f"a rational of {q.numerator.bit_length()}/{q.denominator.bit_length()} bits"
-
-
 def _plog2(count: int, den: int) -> float:
     # p * log2(p) for p = count/den, the logs taken of p in lowest terms
     g = math.gcd(count, den)
     return count / den * (math.log2(count // g) - math.log2(den // g))
-
-
-def _mass_text(num: int, den: int) -> str:
-    # str(Fraction(num, den)), without making the Fraction: the one emitter
-    # of masses, power sums and ratios.  A part past Python's int-to-str
-    # digit limit cannot print, which makes the request too large.
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    try:
-        return f"{num}/{den}" if den != 1 else str(num)
-    except ValueError:
-        raise TooLarge(
-            f"a rational of {num.bit_length()}/{den.bit_length()} bits"
-            " has too many digits to print"
-        ) from None
-
-
-def _at_least(value: float, bound: float = 0.0) -> bool:
-    # value >= bound, up to the float slack
-    return value >= bound - TOLERANCE
 
 
 def _disjoint(*groups: tuple[str, ...]) -> None:
@@ -161,21 +102,6 @@ def _disjoint(*groups: tuple[str, ...]) -> None:
     for s, t in combinations(groups, 2):
         if set(s) & set(t):
             raise LabError("OVERLAPPING_SETS", f"{s} and {t} overlap")
-
-
-def _record_json(record) -> dict:
-    # a NamedTuple record's fields in order: nested records through their
-    # own to_json_dict, Fractions as exact mass text, tuples as lists
-    doc = {}
-    for name, value in zip(record._fields, record):
-        if hasattr(value, "to_json_dict"):
-            value = value.to_json_dict()
-        elif isinstance(value, Fraction):
-            value = _mass_text(value.numerator, value.denominator)
-        elif isinstance(value, tuple):
-            value = list(value)
-        doc[name] = value
-    return doc
 
 
 def _inverses(counts: Counts) -> tuple[dict[Outcome, int], int]:
@@ -361,14 +287,21 @@ class JointDistribution:
         return counts, den
 
     def _size(self, variables: Iterable[str] | str) -> int:
-        """The number of cells of ``_table(variables)``, which depends only on
-        the set of columns: a cached table over that set in any order answers."""
+        """The cell count of ``_table(variables)``: a cached table over the same
+        columns answers, else the smallest known table holding them is counted."""
         names = _as_names(variables)
         wanted = set(names)
+        source_names, source = self.variables, self.counts
         for known, (counts, _) in self._tables.items():
-            if set(known) == wanted:
-                return len(counts)
-        return len(self._table(names)[0])
+            if len(counts) <= len(source) and wanted.issubset(known):
+                if len(known) == len(wanted):
+                    return len(counts)
+                source_names, source = known, counts
+        if not wanted.issubset(ROLE_ORDER + self.variables):
+            self._columns(names)  # raises UNKNOWN_VARIABLE
+        # a role the atoms lack is a constant column
+        columns = [source_names.index(n) for n in names if n in source_names]
+        return len(set(map(itemgetter(*columns), source))) if columns else 1
 
     def fibres(self, group, rest) -> dict[Outcome, list[Outcome]]:
         """The support of ``_table(group + rest)`` split by its ``group`` part:
@@ -551,26 +484,6 @@ def _insert_by_role(names: tuple[str, ...], new: str) -> tuple[str, ...]:
         merged = sorted(names + (new,), key=ROLE_ORDER.index)
         return tuple(merged)
     return names + (new,)
-
-
-def _load_object(doc, keys: set, message: str) -> dict:
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nested too deep
-            raise LabError("SCHEMA_ERROR", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != keys:
-        raise LabError("SCHEMA_ERROR", message)
-    if any(not isinstance(value, list) for value in doc.values()):
-        raise LabError("SCHEMA_ERROR", f"{message}, each a list")
-    return doc
-
-
-def _strings(value, what: str, length=None) -> tuple[str, ...]:
-    if (not isinstance(value, list) or any(not isinstance(s, str) for s in value)
-            or length not in (None, len(value))):
-        raise LabError("SCHEMA_ERROR", f"{what} must be a list of strings, got {value!r}")
-    return tuple(value)
 
 
 def load_distribution(doc) -> JointDistribution:

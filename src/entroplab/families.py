@@ -31,8 +31,8 @@ import math
 import random
 from fractions import Fraction
 
-from .distributions import JointDistribution, _insert_by_role, as_fraction, log2_fraction
-from .errors import LabError, TooLarge
+from .distributions import JointDistribution, _insert_by_role, log2_fraction
+from .errors import LabError, TooLarge, as_fraction
 
 ATOM_BUDGET = 10**6
 SAMPLER_ATOM_BUDGET = 10**5

@@ -23,17 +23,16 @@ ground truth for both the covering number and the minimal valid matching
 partition.
 """
 
+from __future__ import annotations
+
 import itertools
 import json
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .distributions import (
-    JointDistribution, TOLERANCE, _at_least, _common, _load_object, _ratio, _rational_text,
-    _record_json, _strings, as_fraction,
-)
-from .errors import LabError, PreconditionFailed, TooLarge, Verdict
+from .errors import (TOLERANCE, LabError, PreconditionFailed, TooLarge, Verdict, _at_least,
+                     _load_object, _rational_text, _record_json, _strings, as_fraction)
 
 PROPERTY_STAR = "property-star"
 PROPERTY_DOUBLESTAR = "property-doublestar"
@@ -247,6 +246,7 @@ def _require_edges(g: ColoredBipartiteGraph) -> None:
 def edge_distribution(g: ColoredBipartiteGraph) -> JointDistribution:
     """Pick an edge by weight (uniformly if unweighted): A is the color,
     X and Y the endpoints.  A is a function of (X, Y), so H(A|X,Y) = 0."""
+    from .distributions import JointDistribution, _common, _ratio
     _require_edges(g)
     if g.edges[0].weight is None:
         atoms = {(e.color, e.x, e.y): 1 for e in g.edges}
@@ -786,6 +786,7 @@ def extend_with_cover_index(g: ColoredBipartiteGraph, cover) -> ZExtensionReport
     H(A|X,Z) + H(A|Y,Z) <= H(A|Z) and in turn
     cover size >= 2^((H(A|X)+H(A|Y)-H(A))/2).
     """
+    from .distributions import JointDistribution
     from .inequalities import verify_theorem1
     verdict = verify_biclique_cover(g, cover)
     if not verdict.holds:

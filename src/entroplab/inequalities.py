@@ -45,8 +45,8 @@ from .conditions import (
     check_support_saturation,
     check_unique_common_value,
 )
-from .distributions import JointDistribution, _at_least, _inverses, _record_json, log2_fraction
-from .errors import LabError, PreconditionFailed, Verdict
+from .distributions import JointDistribution, _inverses, log2_fraction
+from .errors import LabError, PreconditionFailed, Verdict, _at_least, _record_json
 
 PASS = "PASS"
 FAIL = "FAIL"

@@ -314,6 +314,26 @@ def test_fuzz_csv_shape():
     assert all(line.endswith(",PASS") for line in lines[1:])
 
 
+def test_fuzz_fingerprints_only_what_it_prints(monkeypatch):
+    """None on a passing JSON run, one per trial with --csv, and one for the
+    first failure of a JSON run."""
+    calls = []
+    fingerprint = JointDistribution.fingerprint
+    monkeypatch.setattr(JointDistribution, "fingerprint",
+                        lambda d: calls.append(d) or fingerprint(d))
+    argv = ("fuzz", "--target", "lemma1", "--trials", "12", "--seed", "5")
+    assert invoke_json(*argv)[1]["failures"] == 0
+    assert calls == []
+    assert len(invoke(*argv, "--csv").text.splitlines()) == 13
+    assert len(calls) == 12
+    calls.clear()
+    trial = cli._fuzz_trial
+    monkeypatch.setattr(cli, "_fuzz_trial", lambda target, rng: (trial(target, rng)[0], "FAIL"))
+    code, doc = invoke_json(*argv)
+    assert (code, doc["failures"], len(calls)) == (3, 12, 1)
+    assert doc["first_failure"] == {"trial": 0, "fingerprint": fingerprint(calls[0])}
+
+
 def test_fuzz_rejects_bad_trials():
     assert invoke("fuzz", "--target", "lemma2", "--trials", "0", "--seed", "1").exit_code == 2
 
@@ -720,14 +740,14 @@ INPUTS = Path(__file__).parent / "golden" / "inputs"
         (("fuzz", "--target", "theorem2", "--trials", "2", "--seed", "1"),
          {"distributions", "conditions", "inequalities", "families"}),
         (("graph", "gen", "--n", "4", "--k", "1"), {"graphs", "distributions", "families"}),
-        (("graph", "min-partition", "--graph", "@gnk-4-1.json"), {"graphs", "distributions"}),
+        (("graph", "min-partition", "--graph", "@gnk-4-1.json"), {"graphs"}),
         (("graph", "verify-partition", "--graph", "@gnk-4-1.json",
-          "--partition", "@gnk-4-1-partition.json"), {"graphs", "distributions"}),
+          "--partition", "@gnk-4-1-partition.json"), {"graphs"}),
         (("graph", "verify-partition", "--graph", "@gnk-4-1.json",
           "--partition", "@gnk-4-1-singletons.json"),
          {"graphs", "distributions", "conditions", "inequalities"}),
         (("graph", "verify-cover", "--graph", "@gnk-4-1.json", "--cover", "@gnk-4-1-cover.json"),
-         {"graphs", "distributions"}),
+         {"graphs"}),
         (("graph", "bcc", "--graph", "@gnk-4-1.json", "--method", "exact,entropy,dual,color"),
          {"graphs", "distributions"}),
         (("graph", "z-extend", "--graph", "@gnk-4-1.json", "--cover", "@gnk-4-1-cover.json"),
@@ -749,6 +769,21 @@ def test_each_command_loads_only_its_modules(argv, modules):
         "                  if m.startswith('entroplab.')]))"
     )
     assert loaded == {"cli", "errors", *modules}
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["dev-full", "closed"])
+def test_unwritable_stdout_exits_two_with_an_error_on_stderr(closed):
+    """Stdout on a full device, or closed: exit 2 with an IO_ERROR document on
+    stderr, and no second failure when the interpreter flushes at exit."""
+    if not closed and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open(os.devnull if closed else "/dev/full", "w") as sink:
+        result = subprocess.run(
+            [sys.executable, "-m", "entroplab", "catalog", "gen", "--family", "distinct-pairs",
+             "--n", "3"], stdout=sink, stderr=subprocess.PIPE, text=True,
+            preexec_fn=(lambda: os.close(1)) if closed else None)
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stderr)["error"]["code"] == "IO_ERROR"
 
 
 def test_help_exits_zero():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import itemgetter
 
 import pytest
@@ -234,15 +234,13 @@ SCANNED_CHECKS = [
 ]
 
 
-def test_counting_checks_match_the_sorted_scans():
-    """Same holds, witness and detail as the plain scans, on random supports
-    over every role set the checks read (a missing B or Y is a constant
-    column), dense and conditioned down to a few atoms; both on a fresh
-    distribution and on one whose (A, X, Y) table is already cached, as
-    `check --all` leaves it."""
+def _seeded_supports():
+    # (trial, d, warm): random supports over every role set the checks read
+    # (a missing B or Y is a constant column), dense and conditioned down to
+    # a few atoms, and a copy whose (A, X, Y) table is already cached, as
+    # `check --all` leaves it
     role_sets = [("A", "B", "X", "Y"), ("A", "X", "Y"), ("A", "X"), ("X", "A", "B")]
     rng = random.Random(16)
-    outcomes = set()
     for trial in range(400):
         d = random_support_distribution(rng, role_sets[trial % 4], max_size=3)
         if trial % 3 == 0:
@@ -250,12 +248,42 @@ def test_counting_checks_match_the_sorted_scans():
             d = d.condition(kept)
         warm = JointDistribution(d.variables, d.counts, d.denominator)
         check_ci_given(warm, "X", "Y", "A")
+        yield trial, d, warm
+
+
+def test_counting_checks_match_the_sorted_scans():
+    """Same holds, witness and detail as the plain scans, on random supports
+    over every role set the checks read, dense and conditioned down to a few
+    atoms; both on a fresh distribution and on one whose (A, X, Y) table is
+    already cached."""
+    outcomes = set()
+    for trial, d, warm in _seeded_supports():
         for name, check, scan in SCANNED_CHECKS:
             expected = scan(d)
             for fresh in (JointDistribution(d.variables, d.counts, d.denominator), warm):
                 assert check(fresh) == expected, (name, trial)  # condition, holds, witness, detail
             outcomes.add((name, expected.holds))
     assert len(outcomes) == 2 * len(SCANNED_CHECKS)  # each check both held and failed
+
+
+def test_size_counts_cells_without_building_a_table():
+    """`_size` reads the cell count of `_table` over every column set, missing
+    roles included, on a fresh distribution and on a warm one, and caches no
+    table; so `audit_lemma1` leaves no (X, Y) table behind."""
+    column_sets = [cols for r in range(5) for cols in combinations(("Y", "X", "B", "A"), r)]
+    for trial, d, warm in _seeded_supports():
+        for names in column_sets:
+            expected = len(JointDistribution(d.variables, d.counts, d.denominator)._table(names)[0])
+            for probe in (JointDistribution(d.variables, d.counts, d.denominator), warm):
+                cached = list(probe._tables)
+                assert probe._size(names) == expected, (trial, names)
+                assert list(probe._tables) == cached, (trial, names)
+        fresh = JointDistribution(d.variables, d.counts, d.denominator)
+        audit_lemma1(fresh)
+        assert ("X", "Y") not in fresh._tables, trial
+    with pytest.raises(LabError) as err:
+        d._size(("A", "Q"))
+    assert err.value.code == "UNKNOWN_VARIABLE"
 
 
 def test_every_check_groups_each_table_once():

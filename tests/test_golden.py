@@ -24,9 +24,11 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 # Cases replayed in a fresh interpreter too: the entry point runs with the
-# cyclic collector off, which no in-process replay exercises.
+# cyclic collector off and freezes the heap before exit, which no in-process
+# replay exercises, and returns the command's exit code (0, 1 under --strict,
+# 2 on a malformed input) as the process's.
 ENTRY_POINT_CASES = ["info-disjoint-sets", "check-all-field-lines-b", "fuzz-theorem1",
-                     "graph-bcc-exact"]
+                     "graph-bcc-exact", "check-strict-distinct-pairs", "verify-malformed"]
 
 
 def _argv(argv):
