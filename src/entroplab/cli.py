@@ -18,6 +18,7 @@ compiles, only the modules of its subcommand.
 """
 
 import argparse
+import io
 import json
 import os
 import random
@@ -477,12 +478,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> CommandOutcome:
     parser = _build_parser()
+    stdout, sys.stdout = sys.stdout, io.StringIO()  # argparse prints --help itself
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code in (0, None):
-            return CommandOutcome(0, "")
-        return CommandOutcome(2, "")
+    except SystemExit as exc:  # the help goes back to `main`, to be written like any output
+        return CommandOutcome(0 if exc.code in (0, None) else 2, sys.stdout.getvalue())
+    finally:
+        sys.stdout = stdout
     try:
         return args.handler(args)
     except LabError as exc:
@@ -493,9 +495,6 @@ def run(argv) -> CommandOutcome:
     except MemoryError:
         # inside the size budgets, but past the memory of this process
         return _document({"error": {"code": "TOO_LARGE", "message": "out of memory"}}, 2)
-    except RecursionError:
-        # inside the size budgets, but past the interpreter's recursion limit
-        return _document({"error": {"code": "TOO_LARGE", "message": "recursion too deep"}}, 2)
 
 
 def main(argv=None) -> int:
@@ -508,8 +507,14 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         except OSError as exc:
             doc = {"error": {"code": "IO_ERROR", "message": f"cannot write stdout: {exc}"}}
-            sys.stderr.write(_document(doc).text)
-            # the Python docs' SIGPIPE recipe: the flush at exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            try:
+                sys.stderr.write(_document(doc).text)
+                sys.stderr.flush()
+            except (AttributeError, OSError):  # stderr is closed (None) or full as well
+                pass
+            # the Python docs' SIGPIPE recipe: the flushes at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
             return 2
     return outcome.exit_code

@@ -369,14 +369,6 @@ class JointDistribution:
             raise LabError("ZERO_MASS_EVENT", "conditioning event has zero mass")
         return JointDistribution(self.variables, counts, mass)
 
-    def rename_symbols(self, variable: str, mapping: Mapping[Symbol, Symbol]) -> "JointDistribution":
-        (col,) = self._columns((variable,))
-        counts = {
-            outcome[:col] + (mapping.get(outcome[col], outcome[col]),) + outcome[col + 1 :]: n
-            for outcome, n in self.counts.items()
-        }
-        return JointDistribution(self.variables, counts, self.denominator)
-
     # ------------------------------------------------------------------
     # information measures (bits)
 

@@ -696,7 +696,8 @@ def min_biclique_cover(g: ColoredBipartiteGraph, limit=None) -> list[Biclique]:
     uncovered bit, so hashing plays no part.  A node is pruned when the picks
     left to beat the best cover are fewer than ceil(|uncovered| / largest
     biclique) or the packing floor (`_packing_prunes`) needs; the last pick is
-    the first holder of the pivot that covers everything left."""
+    the first holder of the pivot that covers everything left.  One loop over
+    a stack of frames walks the tree and stops at the root floor."""
     _search_cap(g, limit, COVER_SEARCH_LIMIT, "cover")
     if not g.edges:
         return []
@@ -706,41 +707,43 @@ def min_biclique_cover(g: ColoredBipartiteGraph, limit=None) -> list[Biclique]:
     best: list[int] = []
     uncovered = universe = (1 << len(holders)) - 1
     while uncovered:
-        i = max(range(len(cells)), key=lambda j: (cells[j] & uncovered).bit_count())
-        best.append(i)
-        uncovered &= ~cells[i]
+        gains = [(c & uncovered).bit_count() for c in cells]
+        best.append(gains.index(max(gains)))
+        uncovered &= ~cells[best[-1]]
     best_size = len(best)
     floor = _root_lower_bound(g)
     biggest = max(c.bit_count() for c in cells)
 
-    def walk(uncovered, chosen):
-        nonlocal best, best_size
+    uncovered = universe  # the node to visit, reached by the picks in `chosen`
+    frames = []  # per open node: its uncovered mask and its untried options, largest first
+    chosen: list[int] = []  # per frame, the option it is trying
+    while best_size > floor:  # the node's depth is len(chosen)
+        picks = best_size - 1 - len(chosen)
         if not uncovered:
             if len(chosen) < best_size:
                 best, best_size = list(chosen), len(chosen)
-            return
-        picks = best_size - 1 - len(chosen)
-        if math.ceil(uncovered.bit_count() / biggest) > picks:
-            return
-        options = holders[(uncovered & -uncovered).bit_length() - 1]
-        if picks == 1:
-            for i in options:
-                if not uncovered & ~cells[i]:
-                    best, best_size = chosen + [i], len(chosen) + 1
-                    return
-            return
-        sizes = {i: (cells[i] & uncovered).bit_count() for i in options}
-        if _packing_prunes(uncovered, picks, max(sizes.values()), holders, cells, reach, biggest):
-            return
-        for i in sorted(options, key=lambda i: -sizes[i]):
-            if best_size <= floor:
-                return
-            chosen.append(i)
-            walk(uncovered & ~cells[i], chosen)
+        elif math.ceil(uncovered.bit_count() / biggest) <= picks:
+            options = holders[(uncovered & -uncovered).bit_length() - 1]
+            if picks == 1:
+                for i in options:
+                    if not uncovered & ~cells[i]:
+                        best, best_size = chosen + [i], len(chosen) + 1
+                        break
+            else:
+                sizes = {i: (cells[i] & uncovered).bit_count() for i in options}
+                if not _packing_prunes(uncovered, picks, max(sizes.values()),
+                                       holders, cells, reach, biggest):
+                    # a stable sort, reversed, keeps option order among ties
+                    frames.append((uncovered, iter(sorted(options, key=sizes.get, reverse=True))))
+                    chosen.append(-1)  # the new frame's pick, set below
+        # backtrack to the deepest frame with an untried option, and take it
+        while frames and (i := next(frames[-1][1], -1)) < 0:
+            frames.pop()
             chosen.pop()
-
-    if best_size > floor:
-        walk(universe, [])
+        if not frames:
+            break
+        chosen[-1] = i
+        uncovered = frames[-1][0] & ~cells[i]
     return [cliques[i] for i in best]
 
 

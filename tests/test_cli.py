@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -664,17 +665,42 @@ def test_partition_search_past_the_recursion_limit_finishes(graph_file):
 
 
 def test_memory_error_exits_two_as_too_large(monkeypatch):
-    """Both nets in `cli.run`: out of memory, and past the recursion limit
-    (which only the cover search can reach, nesting once per pick)."""
-    for error, message in ((MemoryError, "out of memory"),
-                           (RecursionError, "recursion too deep")):
-        def exhausted(*args, error=error):
-            raise error
+    """The one net in `cli.run`: a process out of memory exits 2."""
+    def exhausted(*args):
+        raise MemoryError
 
-        monkeypatch.setattr("entroplab.families.gen_field_lines", exhausted)
-        code, doc = invoke_json("catalog", "gen", "--family", "field-lines", "--q-exp", "5",
-                                "--delta", "1/2", "--b-size", "2", "--seed", "1")
-        assert (code, doc["error"]) == (2, {"code": "TOO_LARGE", "message": message})
+    monkeypatch.setattr("entroplab.families.gen_field_lines", exhausted)
+    code, doc = invoke_json("catalog", "gen", "--family", "field-lines", "--q-exp", "5",
+                            "--delta", "1/2", "--b-size", "2", "--seed", "1")
+    assert (code, doc["error"]) == (2, {"code": "TOO_LARGE", "message": "out of memory"})
+
+
+def _self_calls(tree):
+    """(name, line) of each call a function makes to itself, by its bare name
+    or as ``self.<its name>``."""
+    return [
+        (f.name, call.lineno)
+        for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(f) if isinstance(call, ast.Call) and (
+            isinstance(call.func, ast.Name) and call.func.id == f.name
+            or isinstance(call.func, ast.Attribute) and call.func.attr == f.name
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "self")
+    ]
+
+
+def test_no_function_in_the_package_calls_itself():
+    """No command path nests a Python call per item of its input, so no
+    input can reach the recursion limit and `cli.run` needs no net for it.
+    The one exception is `_table`, which calls itself once, for the known
+    columns, when a canonical role is missing; that call never recurses again."""
+    calls = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for name, _ in _self_calls(ast.parse(path.read_text())):
+            calls[f"{path.stem}.{name}"] = calls.get(f"{path.stem}.{name}", 0) + 1
+    assert calls == {"distributions._table": 1}
+    assert _self_calls(ast.parse("def walk(n):\n    walk(n - 1)\n"
+                                 "class C:\n    def f(self):\n        self.f()\n")) == [
+        ("walk", 2), ("f", 5)]
 
 
 def test_exact_cover_ignores_hash_seed(graph_file):
@@ -771,23 +797,60 @@ def test_each_command_loads_only_its_modules(argv, modules):
     assert loaded == {"cli", "errors", *modules}
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["dev-full", "closed"])
-def test_unwritable_stdout_exits_two_with_an_error_on_stderr(closed):
-    """Stdout on a full device, or closed: exit 2 with an IO_ERROR document on
-    stderr, and no second failure when the interpreter flushes at exit."""
-    if not closed and not os.path.exists("/dev/full"):
+def _run_unwritable(argv, stdout, stderr):
+    """Run ``python -m entroplab`` with each of stdout and stderr a pipe
+    ("pipe"), on a full device ("full") or closed ("closed")."""
+    if "full" in (stdout, stderr) and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
-    with open(os.devnull if closed else "/dev/full", "w") as sink:
-        result = subprocess.run(
-            [sys.executable, "-m", "entroplab", "catalog", "gen", "--family", "distinct-pairs",
-             "--n", "3"], stdout=sink, stderr=subprocess.PIPE, text=True,
-            preexec_fn=(lambda: os.close(1)) if closed else None)
+    closing = [fd for fd, how in ((1, stdout), (2, stderr)) if how == "closed"]
+    sinks = [subprocess.PIPE if how == "pipe"
+             else open("/dev/full" if how == "full" else os.devnull, "w")
+             for how in (stdout, stderr)]
+    try:
+        return subprocess.run([sys.executable, "-m", "entroplab", *argv],
+                              stdout=sinks[0], stderr=sinks[1], text=True,
+                              preexec_fn=lambda: [os.close(fd) for fd in closing])
+    finally:
+        for sink in sinks:
+            if sink != subprocess.PIPE:
+                sink.close()
+
+
+@pytest.mark.parametrize("stdout, stderr", [
+    pytest.param("full", "pipe", id="dev-full"),
+    pytest.param("closed", "pipe", id="closed"),
+    pytest.param("full", "full", id="dev-full-both"),
+    pytest.param("closed", "closed", id="closed-both"),
+    pytest.param("full", "closed", id="dev-full-stdout-closed-stderr"),
+    pytest.param("closed", "full", id="closed-stdout-dev-full-stderr"),
+])
+def test_unwritable_stdout_exits_two_with_an_error_on_stderr(stdout, stderr):
+    """Stdout on a full device, or closed: exit 2 with an IO_ERROR document on
+    stderr where stderr can be written, and no second failure when the
+    interpreter flushes either stream at exit."""
+    result = _run_unwritable(["catalog", "gen", "--family", "distinct-pairs", "--n", "3"],
+                             stdout, stderr)
     assert result.returncode == 2, result.stderr
-    assert json.loads(result.stderr)["error"]["code"] == "IO_ERROR"
+    if stderr == "pipe":
+        assert json.loads(result.stderr)["error"]["code"] == "IO_ERROR"
 
 
 def test_help_exits_zero():
     assert invoke("--help").exit_code == 0
+
+
+def test_help_is_argparse_text_written_like_any_output(monkeypatch):
+    """`--help` prints argparse's help byte for byte, through the same guarded
+    write as every document: on a full device it exits 2, not 0."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    expected = cli._build_parser().format_help()
+    assert invoke("--help") == (0, expected)
+    result = subprocess.run([sys.executable, "-m", "entroplab", "--help"],
+                            capture_output=True, text=True, env=dict(os.environ, COLUMNS="80"))
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
+    result = _run_unwritable(["--help"], "full", "pipe")
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stderr)["error"]["code"] == "IO_ERROR"
 
 
 def test_module_entry_point(tmp_path):

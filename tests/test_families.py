@@ -76,10 +76,11 @@ def test_distinct_pairs_keeps_the_atom_budget(monkeypatch):
 
 def test_disjoint_sets_reduces_to_distinct_pairs_at_k_one():
     for n in (2, 3, 4, 6):
-        ds = gen_disjoint_sets(n, 1)
+        ds, pairs = gen_disjoint_sets(n, 1), gen_distinct_pairs(n)
         strip = {"{%d}" % i: str(i) for i in range(1, n + 1)}
-        renamed = ds.rename_symbols("X", strip).rename_symbols("Y", strip)
-        assert renamed == gen_distinct_pairs(n)
+        relabelled = {(a, strip[x], strip[y]): c for (a, x, y), c in ds.counts.items()}
+        assert (ds.variables, ds.denominator) == (pairs.variables, pairs.denominator)
+        assert relabelled == pairs.counts
 
 
 def test_disjoint_sets_entropies_match_closed_forms():
