@@ -19,12 +19,11 @@ Condition ids used in verdicts and by the CLI:
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from .distributions import JointDistribution, Outcome, _as_names, _disjoint
-from .errors import LabError, PreconditionFailed, Verdict, _mass_text
+from .errors import PreconditionFailed, Verdict, _mass_text
 
 COND_INDEPENDENCE = "independence"
 COND_CI_GIVEN = "conditional-independence"
@@ -84,13 +83,13 @@ def _check_ci(condition: str, d: JointDistribution, first, second, given) -> Ver
 def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verdict:
     """Support-level functional dependence: every cell of ``given`` inside the
     support determines exactly one value of ``target``.  Decided by counting
-    first: it holds exactly when the table over ``given`` + ``target`` has as
+    first: it holds exactly when the table over ``target`` + ``given`` has as
     many cells as the table over ``given``; only a failure groups and sorts,
     for the smallest witness."""
     t = _as_names(target)
     g = _as_names(given)
     _disjoint(t, g)
-    if d._size(g + t) == d._size(g):
+    if len(d._table(t + g)[0]) == len(d._table(g)[0]):
         return Verdict(COND_FUNCTIONAL, True)
     cell, values = next(item for item in d.fibres(g, t).items() if len(item[1]) > 1)
     witness = {name: val for name, val in zip(g, cell)}
@@ -102,13 +101,11 @@ def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verd
 def check_support_saturation(d: JointDistribution) -> Verdict:
     """cond-2-B: whenever a is possible with x and possible with y, the triple
     (a, x, y) itself has positive mass.  Decided by counting first: it holds
-    exactly when the (A, X, Y) table has sum over a of |X_a| |Y_a| cells, with
-    X_a and Y_a the x and y possible with a; only a failure scans, in sorted
-    order, for the smallest witness."""
+    exactly when the (A, X, Y) table has sum over a of |xs| |ys| cells, over
+    the fibres of ``cells("A", "X", "Y")``; only a failure scans them, in
+    sorted order, for the smallest witness."""
     taxy = d._table(("A", "X", "Y"))[0]
-    xs_per_a = Counter(a for a, _ in d._table(("A", "X"))[0])
-    ys_per_a = Counter(a for a, _ in d._table(("A", "Y"))[0])
-    if sum(n * ys_per_a[a] for a, n in xs_per_a.items()) == len(taxy):
+    if sum(len(xs) * len(ys) for _, xs, ys in d.cells("A", "X", "Y")) == len(taxy):
         return Verdict(COND_SUPPORT_SATURATION, True)
     a, x, y = next(
         (a, x, y)

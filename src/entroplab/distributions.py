@@ -3,12 +3,12 @@
 A distribution is built from integer ``counts`` over one ``denominator``
 (masses written as text enter through ``load_distribution``), stores them
 in lowest terms, and caches each marginal table as integer counts over its
-own lowest-terms denominator.  Marginalization, conditioning and the
-conditional-independence fork stay exact on those integers, so support
-predicates and product identities are decided by integer
-cross-multiplication.  ``fractions.Fraction`` appears only at the edges:
-mass strings other than plain ``n/d``, the public ``atoms`` view (made on
-each access, never cached), and the power-sum certificates.  Information
+own lowest-terms denominator.  Marginalization and conditioning stay
+exact on those integers, so support predicates and product identities are
+decided by integer cross-multiplication.  ``fractions.Fraction`` appears
+only at the edges: mass strings other than plain ``n/d``, the public
+``atoms`` view (made on each access, never cached), and the power-sum
+certificates.  Information
 measures are returned in bits (base-2 logarithm, double precision).
 The input rules it shares with ``graphs`` are in ``errors``.
 
@@ -68,16 +68,6 @@ def _ratio(value: object) -> tuple[int, int]:
                 return num // g, den // g
     q = as_fraction(value)
     return q.numerator, q.denominator
-
-
-def _gcd_all(first: int, values) -> int:
-    # gcd(first, *values).  A running gcd of big counts shrinks a few bits
-    # per step, each step a full big-number gcd; one gcd against a fixed
-    # combination of the values, checked by division, usually settles it.
-    g = math.gcd(first, sum([i * n for i, n in enumerate(values, 1)]))
-    if g == 1 or all(n % g == 0 for n in values):
-        return g
-    return math.gcd(g, *values)
 
 
 def _common(nums: Iterable[int], dens: list[int]) -> tuple[list[int], int]:
@@ -194,7 +184,7 @@ class JointDistribution:
         if total != denominator:
             total = _rational_text(Fraction(total, denominator))
             raise LabError("SUM_NOT_ONE", f"atom masses sum to {total}, not 1")
-        g = _gcd_all(denominator, counts.values())
+        g = math.gcd(denominator, *counts.values())
         if g > 1 or 0 in counts.values():
             counts = {outcome: n // g for outcome, n in counts.items() if n}
         object.__setattr__(self, "variables", variables)
@@ -279,29 +269,12 @@ class JointDistribution:
             get = counts.get
             for key, n in zip(zip(*columns) if columns else repeat(()), source.values()):
                 counts[key] = get(key, 0) + n
-            g = _gcd_all(den, counts.values())
+            g = math.gcd(den, *counts.values())
             if g > 1:
                 counts = {key: n // g for key, n in counts.items()}
                 den //= g
         self._tables[names] = (counts, den)
         return counts, den
-
-    def _size(self, variables: Iterable[str] | str) -> int:
-        """The cell count of ``_table(variables)``: a cached table over the same
-        columns answers, else the smallest known table holding them is counted."""
-        names = _as_names(variables)
-        wanted = set(names)
-        source_names, source = self.variables, self.counts
-        for known, (counts, _) in self._tables.items():
-            if len(counts) <= len(source) and wanted.issubset(known):
-                if len(known) == len(wanted):
-                    return len(counts)
-                source_names, source = known, counts
-        if not wanted.issubset(ROLE_ORDER + self.variables):
-            self._columns(names)  # raises UNKNOWN_VARIABLE
-        # a role the atoms lack is a constant column
-        columns = [source_names.index(n) for n in names if n in source_names]
-        return len(set(map(itemgetter(*columns), source))) if columns else 1
 
     def fibres(self, group, rest) -> dict[Outcome, list[Outcome]]:
         """The support of ``_table(group + rest)`` split by its ``group`` part:

@@ -80,6 +80,21 @@ def _disjoint_set_atoms(n: int, k: int):
             yield _set_label(xs + ys), _set_label(xs), _set_label(ys)
 
 
+def _disjoint_pair_count(n: int, k: int, family: str) -> int:
+    """C(n,k) C(n-k,k), the ordered pairs of disjoint k-subsets of {1..n}:
+    the atoms of disjoint-sets(n, k) and the edges of G(n, k).  Refuses
+    k outside [1, n/2] and, before any large binomial, a count past
+    ATOM_BUDGET, which the sound bound C(n,k) C(n-k,k) >= max(n, 2^k)
+    decides for a large n or k."""
+    if not isinstance(n, int) or not isinstance(k, int) or k < 1 or 2 * k > n:
+        raise LabError("BAD_PARAM", f"{family} needs 1 <= k <= n/2, got n={n!r} k={k!r}")
+    if max(n, 2 ** min(k, 64)) <= ATOM_BUDGET:
+        count = math.comb(n, k) * math.comb(n - k, k)
+        if count <= ATOM_BUDGET:
+            return count
+    raise TooLarge(f"{family} ({n},{k}) has more than {ATOM_BUDGET} pairs of disjoint sets")
+
+
 def gen_distinct_pairs(n: int) -> JointDistribution:
     """Uniform ordered pair (X, Y) of distinct values in {1..n}; A is the
     unordered pair, so A determines {X, Y} but not which is which.  This is
@@ -97,14 +112,7 @@ def gen_disjoint_sets(n: int, k: int) -> JointDistribution:
     entropy-split gap is available without enumeration through
     ``disjoint_sets_split_gap``.
     """
-    if not isinstance(n, int) or not isinstance(k, int) or k < 1 or 2 * k > n:
-        raise LabError("BAD_PARAM", f"disjoint-sets needs 1 <= k <= n/2, got n={n!r} k={k!r}")
-    count = math.comb(n, k) * math.comb(n - k, k)
-    if count > ATOM_BUDGET:
-        raise TooLarge(
-            f"disjoint-sets ({n},{k}) would enumerate {count} atoms;"
-            " use disjoint_sets_split_gap for the closed form"
-        )
+    count = _disjoint_pair_count(n, k, "disjoint-sets")
     return JointDistribution(("A", "X", "Y"), dict.fromkeys(_disjoint_set_atoms(n, k), 1), count)
 
 

@@ -224,15 +224,11 @@ def gen_gnk(n: int, k: int) -> ColoredBipartiteGraph:
     """Disjointness graph: k-subsets of {1..n} on both sides, an edge when
     the sets are disjoint, colored by the union (each color appears on
     exactly C(2k,k) edges, one per split of the union)."""
-    from .families import ATOM_BUDGET, _disjoint_set_atoms, _set_label
-    if not isinstance(n, int) or not isinstance(k, int) or k < 1 or 2 * k > n:
-        raise LabError("BAD_PARAM", f"disjointness graph needs 1 <= k <= n/2, got n={n!r} k={k!r}")
+    from .families import _disjoint_pair_count, _disjoint_set_atoms, _set_label
+    # the edges are the atoms of disjoint-sets(n, k), under the same rule
+    _disjoint_pair_count(n, k, "disjointness graph")
     if math.comb(n, k) > VERTEX_BUDGET:
         raise TooLarge(f"{math.comb(n, k)} vertices per side exceed the budget")
-    # the edges are the atoms of disjoint-sets(n, k), under the same budget
-    edge_count = math.comb(n, k) * math.comb(n - k, k)
-    if edge_count > ATOM_BUDGET:
-        raise TooLarge(f"G({n},{k}) would enumerate {edge_count} edges")
     labels = [_set_label(c) for c in itertools.combinations(range(1, n + 1), k)]
     edges = [Edge(x, y, union) for union, x, y in _disjoint_set_atoms(n, k)]
     return ColoredBipartiteGraph(labels, labels, edges)

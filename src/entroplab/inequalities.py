@@ -165,17 +165,10 @@ def delta_term(d: JointDistribution) -> ErrorTermCertificate:
     return _certificate("delta", Fraction(num, den))
 
 
-def delta_prime_term(d: JointDistribution) -> ErrorTermCertificate:
-    """Pointwise-maximum error term; requires cond-2-B, which guarantees the
-    denominator is positive at every cell where the numerator is."""
-    saturated = check_support_saturation(d)
-    pointwise = check_pointwise_product(d) if saturated.holds else None
-    return _delta_prime(saturated, pointwise)
-
-
-def _delta_prime(saturated: Verdict, pointwise: PointwiseProductReport | None):
+def _delta_prime(saturated: Verdict, pointwise: PointwiseProductReport):
     # The delta-prime certificate from one distribution's cond-2-B verdict
-    # and pointwise report; the report is not read when cond-2-B fails.
+    # and pointwise report.  cond-2-B keeps the ratio's denominator positive
+    # wherever its numerator is; without it the report is not read.
     if not saturated.holds:
         raise PreconditionFailed(
             "delta-prime needs cond-2-B (support saturation)", saturated.witness

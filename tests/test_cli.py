@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -501,6 +502,18 @@ def test_graph_bcc_shares_property_checks_and_edge_distribution(graph_file, monk
 )
 def test_usage_errors_exit_two(argv):
     assert invoke(*argv).exit_code == 2
+
+
+@pytest.mark.parametrize("n, k", [(20000, 10000), (10**6, 5 * 10**5)])
+@pytest.mark.parametrize("command", [("graph", "gen"),
+                                     ("catalog", "gen", "--family", "disjoint-sets")])
+def test_oversized_generators_are_refused_at_once(command, n, k):
+    """Past the atom budget both generators refuse before any large binomial,
+    with a message that prints."""
+    start = time.monotonic()
+    code, doc = invoke_json(*command, "--n", str(n), "--k", str(k))
+    assert time.monotonic() - start < 1
+    assert (code, doc["error"]["code"]) == (2, "TOO_LARGE")
 
 
 def test_malformed_file_exits_two(tmp_path):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import groupby
 from operator import itemgetter
 
 import pytest
@@ -264,26 +264,6 @@ def test_counting_checks_match_the_sorted_scans():
                 assert check(fresh) == expected, (name, trial)  # condition, holds, witness, detail
             outcomes.add((name, expected.holds))
     assert len(outcomes) == 2 * len(SCANNED_CHECKS)  # each check both held and failed
-
-
-def test_size_counts_cells_without_building_a_table():
-    """`_size` reads the cell count of `_table` over every column set, missing
-    roles included, on a fresh distribution and on a warm one, and caches no
-    table; so `audit_lemma1` leaves no (X, Y) table behind."""
-    column_sets = [cols for r in range(5) for cols in combinations(("Y", "X", "B", "A"), r)]
-    for trial, d, warm in _seeded_supports():
-        for names in column_sets:
-            expected = len(JointDistribution(d.variables, d.counts, d.denominator)._table(names)[0])
-            for probe in (JointDistribution(d.variables, d.counts, d.denominator), warm):
-                cached = list(probe._tables)
-                assert probe._size(names) == expected, (trial, names)
-                assert list(probe._tables) == cached, (trial, names)
-        fresh = JointDistribution(d.variables, d.counts, d.denominator)
-        audit_lemma1(fresh)
-        assert ("X", "Y") not in fresh._tables, trial
-    with pytest.raises(LabError) as err:
-        d._size(("A", "Q"))
-    assert err.value.code == "UNKNOWN_VARIABLE"
 
 
 def test_every_check_groups_each_table_once():

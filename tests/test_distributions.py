@@ -236,6 +236,38 @@ def test_marginal_respects_requested_order():
     assert m.atoms[("0", "0")] == Fraction(1, 4)
 
 
+def _lowest_terms_cases():
+    # a reduced map whose one-column tables reduce, a reducible small map,
+    # and 7,500-bit counts sharing a 3,000-bit factor
+    cube = [(a, x, y) for a in "01" for x in "012" for y in "012"]
+    yield dict.fromkeys(cube[:4], 1), 4
+    yield {("0", "0", "0"): 2, ("0", "1", "1"): 4, ("1", "1", "0"): 6}, 12
+    rng = random.Random(19)
+    shared = rng.getrandbits(3000) | 1 << 2999 | 1
+    counts = {cell: shared * (rng.getrandbits(4500) | 1 << 4499) for cell in cube}
+    yield counts, sum(counts.values())
+
+
+def test_counts_and_tables_are_in_lowest_terms():
+    """The constructor and every `_table` divide out the gcd of the counts and
+    the denominator, and keep the masses that Fraction arithmetic gives."""
+    for counts, den in _lowest_terms_cases():
+        masses = {cell: Fraction(n, den) for cell, n in counts.items()}
+        d = JointDistribution(("A", "X", "Y"), counts, den)
+        assert math.gcd(d.denominator, *d.counts.values()) == 1
+        assert dict(d.atoms) == masses
+        for names in [("A", "X", "Y"), ("A", "X"), ("X", "Y"), ("A",), ("Y",)]:
+            cols = [d.variables.index(name) for name in names]
+            expected = {}
+            for cell, p in masses.items():
+                key = tuple(cell[c] for c in cols)
+                expected[key] = expected.get(key, 0) + p
+            table, table_den = d._table(names)
+            assert math.gcd(table_den, *table.values()) == 1, names
+            assert {key: Fraction(n, table_den) for key, n in table.items()} == expected, names
+    assert d.denominator.bit_length() < den.bit_length() - 2990  # the shared factor is gone
+
+
 def test_marginal_unknown_variable():
     with pytest.raises(LabError) as err:
         xor_triple().marginal("Q")

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroplab.conditions import check_pointwise_product
 from entroplab.distributions import JointDistribution
 from entroplab.errors import PreconditionFailed
 from entroplab.inequalities import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
-    delta_prime_term,
+    _delta_prime,
     delta_term,
     entropy_split_gap,
     gamma_term,
@@ -148,13 +149,17 @@ def test_copied_bit_gamma_below_one():
 
 
 def test_delta_prime_requires_support_saturation():
+    cert = verify_theorem2(pairs_triple(3))
+    assert cert.status == NOT_APPLICABLE
+    assert cert.delta_prime is None and cert.pointwise is None
+    assert cert.condition.witness == {"a": "{1,2}", "x": "1", "y": "1"}
     with pytest.raises(PreconditionFailed) as err:
-        delta_prime_term(pairs_triple(3))
-    assert err.value.witness == {"a": "{1,2}", "x": "1", "y": "1"}
+        _delta_prime(cert.condition, check_pointwise_product(pairs_triple(3)))
+    assert err.value.witness == cert.condition.witness
 
 
 def test_copied_bit_delta_prime_is_one_bit():
-    cert = delta_prime_term(copied_bit())
+    cert = verify_theorem2(copied_bit()).delta_prime
     assert cert.power_sum == Fraction(2)
     assert cert.bits == pytest.approx(1.0, abs=TOL)
 
@@ -164,12 +169,11 @@ def test_delta_prime_never_below_zero_under_saturation():
     found = 0
     for _ in range(400):
         d = random_support_distribution(rng, ("A", "X", "Y"), max_size=3)
-        try:
-            cert = delta_prime_term(d)
-        except PreconditionFailed:
+        cert = verify_theorem2(d)
+        if cert.status == NOT_APPLICABLE:
             continue
         found += 1
-        assert cert.power_sum >= 1
+        assert cert.delta_prime.power_sum >= 1
     assert found > 20
 
 
