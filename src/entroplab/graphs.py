@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import (TOLERANCE, LabError, PreconditionFailed, TooLarge, Verdict, _at_least,
-                     _load_object, _rational_text, _record_json, _strings, as_fraction)
+                     _load_object, _mass_text, _rational_text, _record_json, _strings, as_fraction)
 
 PROPERTY_STAR = "property-star"
 PROPERTY_DOUBLESTAR = "property-doublestar"
@@ -54,7 +54,7 @@ class Edge(NamedTuple):
     def to_json_dict(self) -> dict:
         doc = {"x": self.x, "y": self.y, "color": self.color}
         if self.weight is not None:
-            doc["w"] = str(self.weight)
+            doc["w"] = _mass_text(self.weight.numerator, self.weight.denominator)
         return doc
 
 
@@ -295,6 +295,8 @@ def verify_matching_partition(g: ColoredBipartiteGraph, partition) -> MatchingPa
         for x, y in part:
             if not g.has_edge(x, y):
                 raise LabError("NOT_A_PARTITION", f"({x!r}, {y!r}) is not an edge of the graph")
+            if seen.get((x, y)) == i:
+                return report(False, {"part": i, "x": x, "y": y}, "edge listed twice in one part")
             if (x, y) in seen:
                 return report(False, {"x": x, "y": y}, "edge listed in two parts")
             seen[(x, y)] = i
@@ -392,78 +394,78 @@ def _search_cap(g: ColoredBipartiteGraph, limit, default: int, search: str) -> N
         raise TooLarge(f"{len(g.edges)} edges exceed the {search} search limit {limit}")
 
 
-def _partitions(g: ColoredBipartiteGraph, limit, cap=None):
-    """Yield each valid matching partition as a list of parts.
+def _walk(root, children):
+    """Yield `root`, then every node below it, depth first.  `children(node)`
+    returns an iterator, asked for only after the caller has handled the node
+    and drawn one child at a time, so a bound the caller tightens prunes the
+    children not yet made.  One loop over a stack of these iterators: no call
+    nests per level, so depth is bounded by memory only."""
+    yield root
+    stack = [children(root)]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            stack.append(children(node))
+            break
+        else:
+            stack.pop()
 
-    Restricted-growth enumeration: edges are assigned in a fixed order, and
-    edge i may open part j only if parts 0..j-1 are already in use, so each
-    set partition is visited once.  Part j is held as a mask of its left
-    vertices and a mask of its right vertices.  It stays a matching while no
-    edge adds a bit it already has, and two parts involve a common (x, y)
-    pair exactly when they share a left bit and a right bit.  Involvement
-    only grows along a branch, so a clash rules out the whole subtree.
 
-    Without ``cap`` every valid partition comes out.  With one, only
-    partitions of fewer than ``cap`` parts are searched for, and each one
-    yielded lowers the cap to its own size, so the last one is smallest.
+def _partitions(g: ColoredBipartiteGraph, limit, smallest=False):
+    """Yield each valid matching partition as a list of parts; with
+    `smallest`, only those with fewer parts than the last one yielded.
 
-    The walk is one loop over an explicit stack, the part of each placed
-    edge: the restricted-growth-string walk of Knuth (TAOCP 4A, 7.2.1.5).
-    Backtracking takes the last edge's bits off its part and tries the next
-    part.  No call nests per edge, so the edge cap is the only limit.
+    Restricted-growth enumeration (Knuth, TAOCP 4A, 7.2.1.5): edges are
+    assigned in a fixed order, and an edge may open a new part only after
+    the parts before it.  Each part is a mask of its left vertices and one of
+    its right vertices: it stays a matching while no edge adds a bit it has,
+    and two parts involve a common (x, y) pair exactly when they share a left
+    bit and a right bit.  Involvement only grows along a branch, so a clash
+    rules out the whole subtree.  A node is the index of the next edge.
     """
     _search_cap(g, limit, PARTITION_SEARCH_LIMIT, "partition")
     left_bit = {x: 1 << i for i, x in enumerate(g.left)}
     right_bit = {y: 1 << i for i, y in enumerate(g.right)}
     bits = [(left_bit[e.x], right_bit[e.y]) for e in g.edges]
-    shrink = cap is not None
-    if not shrink:
-        cap = len(bits) + 1
+    cap = len(bits) + 1  # partitions of fewer parts than this are searched for
     masks: list[tuple[int, int]] = []  # (left mask, right mask) of each part
     assignment = []  # the part of each placed edge, in edge order
-    j = 0  # the first part to try for edge len(assignment)
-    while True:
-        used, index = len(masks), len(assignment)
-        if used < cap and index == len(bits):
-            if shrink:
-                cap = used
-            parts = [[] for _ in range(used)]
+
+    def children(index):
+        # place edge `index` in each part it fits, part `used` being a new one
+        if index == len(bits):
+            return
+        bx, by = bits[index]
+        used = len(masks)
+        for j in range(used + 1):
+            if used >= cap:  # a partition found below lowered the cap: no child can beat it
+                return
+            if j == used:
+                masks.append((0, 0))
+            left, right = masks[j]
+            if not (left & bx or right & by):
+                grown_left, grown_right = left | bx, right | by
+                masks[j] = (0, 0)  # so that the scan skips part j itself
+                for other_left, other_right in masks:
+                    if grown_left & other_left and grown_right & other_right:
+                        break
+                else:
+                    masks[j] = (grown_left, grown_right)
+                    assignment.append(j)
+                    yield index + 1
+                    assignment.pop()
+                masks[j] = (left, right)
+            if j == used:
+                masks.pop()
+
+    for index in _walk(0, children):
+        if index == len(bits) and len(masks) < cap:
+            if smallest:
+                cap = len(masks)
+            parts = [[] for _ in masks]
             for e, part in zip(g.edges, assignment):
                 parts[part].append(e.pair())
             yield parts
-        elif used < cap:
-            bx, by = bits[index]
-            for j in range(j, used + 1):  # part `used` is a new one
-                if j == used:
-                    masks.append((0, 0))
-                left, right = masks[j]
-                if not (left & bx or right & by):
-                    grown_left, grown_right = left | bx, right | by
-                    masks[j] = (0, 0)  # so that the scan skips part j itself
-                    for other_left, other_right in masks:
-                        if grown_left & other_left and grown_right & other_right:
-                            break
-                    else:
-                        masks[j] = (grown_left, grown_right)
-                        assignment.append(j)
-                        break
-                    masks[j] = (left, right)
-                if j == used:
-                    masks.pop()
-            if len(assignment) > index:  # edge `index` took part j: go on to the next edge
-                j = 0
-                continue
-        # backtrack: take the last placed edge out of its part and try the next part
-        if not assignment:
-            return
-        j = assignment.pop()
-        left, right = masks[j]
-        bx, by = bits[len(assignment)]
-        if left == bx and right == by:  # the edge opened part j, the last one
-            masks.pop()
-        else:
-            masks[j] = (left ^ bx, right ^ by)
-        j += 1
 
 
 def iter_valid_matching_partitions(g: ColoredBipartiteGraph, limit=None):
@@ -474,10 +476,7 @@ def iter_valid_matching_partitions(g: ColoredBipartiteGraph, limit=None):
 
 def min_valid_matching_partition(g: ColoredBipartiteGraph, limit=None) -> int:
     """Minimal number of parts over all valid matching partitions."""
-    k = len(g.edges)  # the all-singletons partition is always valid
-    for parts in _partitions(g, limit, cap=k):
-        k = len(parts)
-    return k
+    return min(len(parts) for parts in _partitions(g, limit, smallest=True))
 
 
 # ---------------------------------------------------------------------------
@@ -688,12 +687,13 @@ def _packing_prunes(uncovered, picks, top, holders, cells, reach, biggest) -> bo
 
 def min_biclique_cover(g: ColoredBipartiteGraph, limit=None) -> list[Biclique]:
     """An optimal biclique cover by branch-and-bound set cover over the
-    maximal bicliques as edge masks (`_cover_masks`); the pivot is the lowest
-    uncovered bit, so hashing plays no part.  A node is pruned when the picks
-    left to beat the best cover are fewer than ceil(|uncovered| / largest
-    biclique) or the packing floor (`_packing_prunes`) needs; the last pick is
-    the first holder of the pivot that covers everything left.  One loop over
-    a stack of frames walks the tree and stops at the root floor."""
+    maximal bicliques as edge masks (`_cover_masks`), from a greedy cover down
+    to the root floor.  A node is the uncovered mask, reached by the picks in
+    `chosen`; it branches on its lowest bit, so hashing plays no part, and
+    tries that bit's holders largest first.  It is pruned when the picks left
+    to beat the best cover are fewer than ceil(|uncovered| / largest biclique)
+    or the packing floor (`_packing_prunes`) needs; the last pick is the first
+    holder that covers everything left."""
     _search_cap(g, limit, COVER_SEARCH_LIMIT, "cover")
     if not g.edges:
         return []
@@ -706,40 +706,34 @@ def min_biclique_cover(g: ColoredBipartiteGraph, limit=None) -> list[Biclique]:
         gains = [(c & uncovered).bit_count() for c in cells]
         best.append(gains.index(max(gains)))
         uncovered &= ~cells[best[-1]]
-    best_size = len(best)
     floor = _root_lower_bound(g)
     biggest = max(c.bit_count() for c in cells)
+    chosen: list[int] = []
 
-    uncovered = universe  # the node to visit, reached by the picks in `chosen`
-    frames = []  # per open node: its uncovered mask and its untried options, largest first
-    chosen: list[int] = []  # per frame, the option it is trying
-    while best_size > floor:  # the node's depth is len(chosen)
-        picks = best_size - 1 - len(chosen)
-        if not uncovered:
-            if len(chosen) < best_size:
-                best, best_size = list(chosen), len(chosen)
-        elif math.ceil(uncovered.bit_count() / biggest) <= picks:
-            options = holders[(uncovered & -uncovered).bit_length() - 1]
-            if picks == 1:
-                for i in options:
-                    if not uncovered & ~cells[i]:
-                        best, best_size = chosen + [i], len(chosen) + 1
-                        break
-            else:
-                sizes = {i: (cells[i] & uncovered).bit_count() for i in options}
-                if not _packing_prunes(uncovered, picks, max(sizes.values()),
-                                       holders, cells, reach, biggest):
-                    # a stable sort, reversed, keeps option order among ties
-                    frames.append((uncovered, iter(sorted(options, key=sizes.get, reverse=True))))
-                    chosen.append(-1)  # the new frame's pick, set below
-        # backtrack to the deepest frame with an untried option, and take it
-        while frames and (i := next(frames[-1][1], -1)) < 0:
-            frames.pop()
+    def children(uncovered):
+        picks = len(best) - 1 - len(chosen)
+        if not uncovered or math.ceil(uncovered.bit_count() / biggest) > picks:
+            return
+        options = holders[(uncovered & -uncovered).bit_length() - 1]
+        if picks == 1:
+            options = [i for i in options if not uncovered & ~cells[i]][:1]
+        else:
+            sizes = {i: (cells[i] & uncovered).bit_count() for i in options}
+            if _packing_prunes(uncovered, picks, max(sizes.values()),
+                               holders, cells, reach, biggest):
+                return
+            # a stable sort, reversed, keeps option order among ties
+            options = sorted(options, key=sizes.get, reverse=True)
+        for i in options:
+            chosen.append(i)
+            yield uncovered & ~cells[i]
             chosen.pop()
-        if not frames:
+
+    for uncovered in _walk(universe, children):
+        if not uncovered and len(chosen) < len(best):
+            best = list(chosen)
+        if len(best) <= floor:
             break
-        chosen[-1] = i
-        uncovered = frames[-1][0] & ~cells[i]
     return [cliques[i] for i in best]
 
 

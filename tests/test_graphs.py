@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from entroplab.graphs import (
     verify_biclique_cover,
     verify_matching_partition,
 )
-from entroplab.graphs import _cover_masks, _packing_prunes, _root_lower_bound
+from entroplab.graphs import _cover_masks, _packing_prunes, _root_lower_bound, _walk
 
 TOL = 1e-9
 
@@ -124,6 +125,7 @@ def test_weighted_graph_round_trip():
         Edge("x2", "y1", "c", Fraction(1, 4)),
     ]
     g = ColoredBipartiteGraph(("x1", "x2"), ("y1", "y2"), edges)
+    assert [row["w"] for row in g.to_json_dict()["edges"]] == ["1/2", "1/4", "1/4"]
     assert load_graph(g.dumps()) == g
     d = edge_distribution(g)
     assert d.marginal("X").atoms[("x1",)] == Fraction(3, 4)
@@ -230,6 +232,11 @@ def test_partition_failure_modes():
     assert err.value.code == "NOT_A_PARTITION"
     dup = [[("x1", "y1")], [("x1", "y1")], [("x1", "y2")], [("x2", "y1")], [("x2", "y2")]]
     assert verify_matching_partition(g, dup).detail == "edge listed in two parts"
+    one = ColoredBipartiteGraph(("x",), ("y",), [Edge("x", "y", "a")])
+    twice = load_partition({"matchings": [[["x", "y"], ["x", "y"]]]})
+    report = verify_matching_partition(one, twice)
+    assert (report.valid, report.K, report.witness, report.detail) == (
+        False, 1, {"part": 0, "x": "x", "y": "y"}, "edge listed twice in one part")
     missing = [[("x1", "y1")]]
     assert verify_matching_partition(g, missing).detail == "edge missing from the partition"
     lopsided = [[("x1", "y1"), ("x1", "y2")], [("x2", "y1")], [("x2", "y2")]]
@@ -279,15 +286,61 @@ def test_min_partition_g41():
 
 
 def test_min_partition_crown_values():
-    # K(G(n,1)) for n = 3..7 as measured in ROADMAP.md's baseline table:
+    # K(G(n,1)) for n = 3..8 as measured in ROADMAP.md's baseline table:
     # K - L*R = (n-1)//2 on each, a measured pattern, not a theorem
-    found = [min_valid_matching_partition(gen_gnk(n, 1), limit=42) for n in range(3, 8)]
-    assert found == [5, 10, 18, 27, 39]
+    found = [min_valid_matching_partition(gen_gnk(n, 1), limit=56) for n in range(3, 9)]
+    assert found == [5, 10, 18, 27, 39, 52]
 
 
 def test_min_partition_size_cap():
     with pytest.raises(TooLarge):
         min_valid_matching_partition(gen_gnk(6, 2))
+
+
+def _preorder(tree, node):
+    yield node
+    for child in tree[node]:
+        yield from _preorder(tree, child)
+
+
+def test_walk_visits_in_preorder():
+    # seeded random trees: each node's parent is an earlier node
+    rng = random.Random(20)
+    for _ in range(50):
+        tree = {0: []}
+        for node in range(1, rng.randint(1, 40)):
+            tree[rng.randrange(node)].append(node)
+            tree[node] = []
+        assert list(_walk(0, lambda node: iter(tree[node]))) == list(_preorder(tree, 0))
+
+
+@pytest.mark.parametrize("tighten_at,expected", [(12, [0, 1, 11, 12]), (1, [0, 1, 11])])
+def test_walk_prunes_the_children_not_yet_made(tighten_at, expected):
+    # node n < 10 has children 10n+1, 10n+2, 10n+3, made only while the last
+    # digit is within the bound; handling `tighten_at` drops the bound to 1
+    bound = [3]
+    made = []
+
+    def children(node):
+        for digit in range(1, 4) if node < 10 else ():
+            if digit > bound[0]:
+                return
+            made.append(10 * node + digit)
+            yield 10 * node + digit
+
+    visited = []
+    for node in _walk(0, children):
+        visited.append(node)
+        if node == tighten_at:
+            bound[0] = 1
+    assert visited == expected
+    assert made == expected[1:]
+
+
+def test_walk_goes_deeper_than_the_recursion_limit():
+    depth = 2 * sys.getrecursionlimit()
+    nodes = _walk(0, lambda node: iter([node + 1] if node < depth else []))
+    assert list(nodes) == list(range(depth + 1))
 
 
 def _restricted_growth(n, prefix=()):
