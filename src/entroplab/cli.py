@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import LabError, PreconditionFailed
+from .errors import FAIL, NOT_APPLICABLE, PASS, LabError, PreconditionFailed
 
 SEED_SPAN = 2**32
 
@@ -197,13 +197,12 @@ def _cmd_check(args) -> CommandOutcome:
 
 def _cmd_verify(args) -> CommandOutcome:
     from .conditions import audit_lemma1, audit_lemma3
-    from .inequalities import (FAIL, NOT_APPLICABLE, PASS, verify_lemma2, verify_theorem1,
-                               verify_theorem2)
+    from .inequalities import verify_lemma2, verify_theorem1, verify_theorem2
     d = _load_dist(args.dist)
     token = args.theorem
     if token == "lemma1":
         audit = audit_lemma1(d)
-        status = PASS if audit.ok else FAIL
+        status = audit.status
         doc = {**audit.to_json_dict(), "fingerprint": d.fingerprint()}
     elif token == "lemma3":
         seed = _require_flag(args.seed, "--seed")
@@ -215,7 +214,7 @@ def _cmd_verify(args) -> CommandOutcome:
             status = NOT_APPLICABLE
             doc = {"status": status, "witness": exc.witness}
         else:
-            status = PASS if audit.ok else FAIL
+            status = audit.status
             doc = {"status": status, "trials": audit.trials, "failures": len(audit.failures)}
     else:
         cert = {"1": verify_theorem1, "2": verify_theorem2, "lemma2": verify_lemma2}[token](d)
@@ -239,36 +238,31 @@ def _sparse_sample(rng: random.Random):
 def _fuzz_trial(target: str, rng: random.Random):
     from .conditions import audit_lemma1, audit_lemma3
     from .families import extend_with_random_B, sample_cond2c, sample_random_distribution
-    from .inequalities import FAIL, PASS, verify_lemma2, verify_theorem1, verify_theorem2
+    from .inequalities import verify_lemma2, verify_theorem1, verify_theorem2
     inner = rng.randrange(SEED_SPAN)
     if target == "theorem1":
         sizes = tuple(rng.randint(1, 4) for _ in range(4))
         d = sample_cond2c(inner, sizes)
-        cert = verify_theorem1(d)
-        return d, cert.status
-    if target == "theorem2":
+        result = verify_theorem1(d)
+    elif target == "theorem2":
         sizes = tuple(rng.randint(1, 3) for _ in range(3))
         base = sample_random_distribution(("A", "X", "Y"), sizes, inner)
         d = extend_with_random_B(base, rng.randint(1, 3), rng.randrange(SEED_SPAN))
-        cert = verify_theorem2(d)
-        return d, cert.status
-    if target == "lemma1":
+        result = verify_theorem2(d)
+    elif target == "lemma1":
         d = _sparse_sample(rng)
-        audit = audit_lemma1(d)
-        return d, PASS if audit.ok else FAIL
-    if target == "lemma2":
+        result = audit_lemma1(d)
+    elif target == "lemma2":
         d = _sparse_sample(rng)
-        cert = verify_lemma2(d)
-        return d, cert.status
-    # lemma3
-    sizes = tuple(rng.randint(1, 3) for _ in range(4))
-    d = sample_cond2c(inner, sizes)
-    audit = audit_lemma3(d, trials=3, seed=rng.randrange(SEED_SPAN))
-    return d, PASS if audit.ok else FAIL
+        result = verify_lemma2(d)
+    else:  # lemma3
+        sizes = tuple(rng.randint(1, 3) for _ in range(4))
+        d = sample_cond2c(inner, sizes)
+        result = audit_lemma3(d, trials=3, seed=rng.randrange(SEED_SPAN))
+    return d, result.status
 
 
 def _cmd_fuzz(args) -> CommandOutcome:
-    from .inequalities import FAIL
     if args.trials < 1:
         raise LabError("BAD_PARAM", "--trials must be positive")
     rng = random.Random(args.seed)

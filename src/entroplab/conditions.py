@@ -14,6 +14,12 @@ Condition ids used in verdicts and by the CLI:
   cond-2-B                   p(a,x) > 0 and p(a,y) > 0 imply p(a,x,y) > 0
   cond-2-C                   no a != a2 share both a row x and a column y
   pointwise-product          p(a,x) p(a,y) p(x,y) <= p(a) p(x) p(y) p(a,x,y)
+
+Lemma 1 reads on S = {(a, x, y) : p(a,x) > 0 and p(a,y) > 0}, the cells of
+``cells("A", "X", "Y")``, which hold supp(A,X,Y): functional means that
+(a, x, y) -> (x, y) is one-to-one on supp(A,X,Y), cond-2-B that S equals
+supp(A,X,Y), and cond-2-C that the map is one-to-one on all of S.  These
+are the implications ``audit_lemma1`` checks.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .distributions import JointDistribution, Outcome, _as_names, _disjoint
-from .errors import PreconditionFailed, Verdict, _mass_text
+from .errors import FAIL, PASS, PreconditionFailed, Verdict, _mass_text
 
 COND_INDEPENDENCE = "independence"
 COND_CI_GIVEN = "conditional-independence"
@@ -119,17 +125,17 @@ def check_support_saturation(d: JointDistribution) -> Verdict:
 
 def check_unique_common_value(d: JointDistribution) -> Verdict:
     """cond-2-C: no two distinct values of A are both possible with some x and
-    both possible with some y.  The quantifier runs over every (x, y) pair of
-    marginal support values, including pairs with p(x, y) = 0."""
-    # values of A sharing positive mass with each x and with each y, read
-    # from the keys of the (A, X) and (A, Y) tables
-    by_x, by_y = {}, {}
-    for found, role in ((by_x, "X"), (by_y, "Y")):
-        for a, v in d._table(("A", role))[0]:
-            found.setdefault(v, set()).add(a)
+    both possible with some y, for any (x, y), p(x, y) = 0 included.  One walk
+    over the cells (a, x, y) of ``cells("A", "X", "Y")`` meets each a in sorted
+    order, so the first a seen at an (x, y) is its smallest, and the smallest
+    clash of the walk is the witness."""
+    first = {}
     best = min(
-        ((*sorted(common)[:2], x, y)
-         for x in by_x for y in by_y if len(common := by_x[x] & by_y[y]) > 1),
+        ((seen, a, x, y)
+         for (a,), xs, ys in d.cells("A", "X", "Y")
+         for (x,) in xs
+         for (y,) in ys
+         if (seen := first.setdefault((x, y), a)) != a),
         default=None,
     )
     if best is None:
@@ -239,6 +245,10 @@ class Lemma1Audit(NamedTuple):
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def status(self) -> str:
+        return PASS if self.ok else FAIL
+
     def to_json_dict(self) -> dict:
         return {
             "verdicts": {
@@ -281,6 +291,10 @@ class Lemma3Audit(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def status(self) -> str:
+        return PASS if self.ok else FAIL
 
 
 def audit_lemma3(d: JointDistribution, trials: int, seed: int) -> Lemma3Audit:

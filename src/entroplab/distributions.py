@@ -34,7 +34,7 @@ import warnings
 from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from itertools import combinations, groupby, repeat
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -234,37 +234,29 @@ class JointDistribution:
         """The marginal over ``variables`` as ``(counts, denominator)``, the
         counts integers over the table's own lowest-terms denominator, keyed
         in order of first occurrence among the atoms.  Cached; treat it as
-        read-only.  A canonical role the distribution lacks reads as a
-        constant ``"*"`` column; any other unknown name raises UNKNOWN_VARIABLE."""
+        read-only.  A canonical role the distribution lacks is a constant
+        ``"*"`` column, made in the same pass; any other unknown name raises
+        UNKNOWN_VARIABLE."""
         names = _as_names(variables)
         cached = self._tables.get(names)
         if cached is not None:
             return cached
-        present = tuple(n for n in names if n in self.variables)
-        if present != names:
-            if not set(names).issubset(ROLE_ORDER + self.variables):
-                self._columns(names)  # raises UNKNOWN_VARIABLE
-            # A missing role is a constant column: group by the known
-            # columns, then insert the constant symbol into every key.
-            counts, den = self._table(present)
-            spots = [present.index(n) if n in present else None for n in names]
-            counts = {
-                tuple(MISSING_ROLE_SYMBOL if s is None else key[s] for s in spots): n
-                for key, n in counts.items()
-            }
-        elif names == self.variables:
+        if names == self.variables:
             counts, den = self.counts, self.denominator
         else:
+            if not set(names).issubset(ROLE_ORDER + self.variables):
+                self._columns(names)  # raises UNKNOWN_VARIABLE
             # Marginalize the smallest known table holding every requested
-            # column (the atoms at worst).  Whatever the source, keys come
-            # out in order of first occurrence among the atoms, so every
-            # float sum over a table runs in one order.
-            wanted = set(names)
+            # column the distribution has (the atoms at worst).  Whatever the
+            # source, keys come out in order of first occurrence among the
+            # atoms, so every float sum over a table runs in one order.
+            wanted = set(names).intersection(self.variables)
             source_names, source, den = self.variables, self.counts, self.denominator
             for known, (candidate, candidate_den) in self._tables.items():
                 if len(candidate) < len(source) and wanted.issubset(known):
                     source_names, source, den = known, candidate, candidate_den
-            columns = [map(itemgetter(source_names.index(n)), source) for n in names]
+            columns = [map(itemgetter(source_names.index(n)), source) if n in source_names
+                       else repeat(MISSING_ROLE_SYMBOL) for n in names]
             counts = {}
             get = counts.get
             for key, n in zip(zip(*columns) if columns else repeat(()), source.values()):
@@ -285,11 +277,10 @@ class JointDistribution:
         cached = self._fibres.get((group, rest))
         if cached is None:
             width = len(group)
-            keys = sorted(self._table(group + rest)[0])
-            cached = self._fibres[group, rest] = {
-                cell: [key[width:] for key in run]
-                for cell, run in groupby(keys, itemgetter(slice(width)))
-            }
+            fibres = {}
+            for key in sorted(self._table(group + rest)[0]):
+                fibres.setdefault(key[:width], []).append(key[width:])
+            cached = self._fibres[group, rest] = fibres
         return cached
 
     def cells(self, group, first, second) -> Iterator[tuple[Outcome, list[Outcome], list[Outcome]]]:

@@ -4,6 +4,9 @@ Every error carries a stable machine-readable ``code`` (for example
 ``"SUM_NOT_ONE"`` or ``"UNKNOWN_VARIABLE"``) so the CLI and the tests can
 dispatch on failures without parsing messages.  A ``Verdict`` is the
 non-raising twin of ``PreconditionFailed``: a condition and its witness.
+The verifier statuses are PASS (the hypothesis holds and every assertion
+checks out), NOT_APPLICABLE (the hypothesis fails, with a witness) and FAIL
+(a violated guarantee, which the CLI treats as build-breaking: exit 3).
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 TOLERANCE = 1e-9
+
+PASS = "PASS"
+FAIL = "FAIL"
+NOT_APPLICABLE = "NOT_APPLICABLE"
 
 # Fraction expands a decimal exponent into a power of ten before any size
 # check, so one past Python's default int-to-str digit limit is refused.

@@ -27,11 +27,6 @@ the lcm of its table's counts, the constant denominators are factored out,
 and the power sum becomes a Fraction, in lowest terms, only at the end.  A
 missing B column reads as a constant variable throughout (see
 ``JointDistribution._table``).
-
-Verifier statuses: PASS (hypothesis holds and every assertion checks out),
-NOT_APPLICABLE (the hypothesis fails, with a witness), and FAIL, which
-flags a violated guarantee and is treated as a build-breaking event by the
-CLI (exit code 3).
 """
 
 from __future__ import annotations
@@ -46,11 +41,8 @@ from .conditions import (
     check_unique_common_value,
 )
 from .distributions import JointDistribution, _inverses, log2_fraction
-from .errors import LabError, PreconditionFailed, Verdict, _at_least, _record_json
-
-PASS = "PASS"
-FAIL = "FAIL"
-NOT_APPLICABLE = "NOT_APPLICABLE"
+from .errors import (FAIL, NOT_APPLICABLE, PASS, LabError, PreconditionFailed, Verdict, _at_least,
+                     _record_json)
 
 
 class GapReport(NamedTuple):

@@ -703,14 +703,12 @@ def _self_calls(tree):
 
 def test_no_function_in_the_package_calls_itself():
     """No command path nests a Python call per item of its input, so no
-    input can reach the recursion limit and `cli.run` needs no net for it.
-    The one exception is `_table`, which calls itself once, for the known
-    columns, when a canonical role is missing; that call never recurses again."""
+    input can reach the recursion limit and `cli.run` needs no net for it."""
     calls = {}
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         for name, _ in _self_calls(ast.parse(path.read_text())):
             calls[f"{path.stem}.{name}"] = calls.get(f"{path.stem}.{name}", 0) + 1
-    assert calls == {"distributions._table": 1}
+    assert calls == {}
     assert _self_calls(ast.parse("def walk(n):\n    walk(n - 1)\n"
                                  "class C:\n    def f(self):\n        self.f()\n")) == [
         ("walk", 2), ("f", 5)]

@@ -168,6 +168,19 @@ def test_unique_common_value_sees_incompatible_cells():
     v = check_unique_common_value(d)
     assert not v.holds
     assert v.witness == {"a": "a", "a2": "b", "x": "x1", "y": "y1"}
+    # walking a, b, c, d meets the (b, c) clash first, but (a, d) is smaller
+    d = dist(
+        ("A", "X", "Y"),
+        [
+            ("a", "x2", "y2", 1),
+            ("d", "x2", "y2", 1),
+            ("b", "x1", "y1", 1),
+            ("c", "x1", "y1", 1),
+        ],
+    )
+    v = check_unique_common_value(d)
+    assert not v.holds
+    assert v.witness == {"a": "a", "a2": "d", "x": "x2", "y": "y2"}
 
 
 def test_pairs_triple_fails_unique_common_value():

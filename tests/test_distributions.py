@@ -490,3 +490,11 @@ def test_missing_role_reads_as_constant_column():
     with pytest.raises(LabError) as err:
         d.marginal(("A", "Q"))
     assert err.value.code == "UNKNOWN_VARIABLE"
+    # with tables already cached, a missing role marginalizes the smallest
+    # one that holds the known columns: any table at all when none is known
+    warm = xor_triple()
+    warm._table(("A", "X", "Y"))
+    warm._table(("X",))
+    assert warm._table(("B",)) == ({("*",): 1}, 1)
+    assert warm._table(("Z", "B")) == ({("*", "*"): 1}, 1)
+    assert list(warm._table(("A", "B", "X"))[0]) == list(abx)

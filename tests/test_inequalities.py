@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from entroplab.conditions import check_pointwise_product
 from entroplab.distributions import JointDistribution
-from entroplab.errors import PreconditionFailed
+from entroplab.errors import FAIL, NOT_APPLICABLE, PASS, PreconditionFailed
 from entroplab.inequalities import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
     _delta_prime,
     delta_term,
     entropy_split_gap,
