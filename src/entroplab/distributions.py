@@ -245,7 +245,7 @@ class JointDistribution:
             counts, den = self.counts, self.denominator
         else:
             if not set(names).issubset(ROLE_ORDER + self.variables):
-                self._columns(names)  # raises UNKNOWN_VARIABLE
+                self._columns([n for n in names if n not in ROLE_ORDER])  # UNKNOWN_VARIABLE
             # Marginalize the smallest known table holding every requested
             # column the distribution has (the atoms at worst).  Whatever the
             # source, keys come out in order of first occurrence among the
@@ -337,10 +337,10 @@ class JointDistribution:
     # information measures (bits)
 
     def entropy(self, variables: Iterable[str] | str = ()) -> float:
-        """Shannon entropy of the marginal over ``variables`` (empty set gives 0).
-        Cached per variable tuple, like the table it sums."""
+        """Shannon entropy of the marginal over ``variables`` (empty set gives 0),
+        cached per variable set: any column order sums the same counts in atom order."""
         names = _as_names(variables)
-        cached = self._entropies.get(names)
+        cached = self._entropies.get(key := frozenset(names))
         if cached is None:
             counts, den = self._table(names)
             # one p log2 p per distinct count, summed in table order by a
@@ -350,7 +350,7 @@ class JointDistribution:
             for n in counts.values():
                 total += plog2[n]
             # + 0.0 turns the IEEE -0.0 of deterministic marginals into plain 0.0
-            cached = self._entropies[names] = -total + 0.0
+            cached = self._entropies[key] = -total + 0.0
         return cached
 
     def cond_entropy(self, variables, given) -> float:

@@ -119,7 +119,7 @@ def gen_disjoint_sets(n: int, k: int) -> JointDistribution:
 def disjoint_sets_split_gap(n: int, k: int) -> float:
     """Closed form of the entropy-split gap for gen_disjoint_sets(n, k):
     log2 C(n,2k) - 2 log2 C(n-k,k), exact up to the final log."""
-    if k < 1 or 2 * k > n:
+    if not isinstance(n, int) or not isinstance(k, int) or k < 1 or 2 * k > n:
         raise LabError("BAD_PARAM", f"disjoint-sets needs 1 <= k <= n/2, got n={n!r} k={k!r}")
     return log2_fraction(Fraction(math.comb(n, 2 * k), math.comb(n - k, k) ** 2))
 

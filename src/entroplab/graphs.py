@@ -240,15 +240,13 @@ def _require_edges(g: ColoredBipartiteGraph) -> None:
 
 
 def edge_distribution(g: ColoredBipartiteGraph) -> JointDistribution:
-    """Pick an edge by weight (uniformly if unweighted): A is the color,
-    X and Y the endpoints.  A is a function of (X, Y), so H(A|X,Y) = 0."""
-    from .distributions import JointDistribution, _common, _ratio
+    """Pick an edge by weight (1/n if unweighted; one path through ``_common``):
+    A is the color, X and Y the endpoints, and H(A|X,Y) = 0."""
+    from .distributions import JointDistribution, _common
     _require_edges(g)
-    if g.edges[0].weight is None:
-        atoms = {(e.color, e.x, e.y): 1 for e in g.edges}
-        return JointDistribution(("A", "X", "Y"), atoms, len(g.edges))
-    nums, dens = zip(*(_ratio(e.weight) for e in g.edges))
-    counts, den = _common(nums, dens)
+    n = len(g.edges)
+    masses = [(1, n) if (w := e.weight) is None else (w.numerator, w.denominator) for e in g.edges]
+    counts, den = _common(*zip(*masses))
     outcomes = [(e.color, e.x, e.y) for e in g.edges]
     return JointDistribution(("A", "X", "Y"), zip(outcomes, counts), den)
 

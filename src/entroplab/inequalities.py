@@ -173,38 +173,27 @@ def _delta_prime(saturated: Verdict, pointwise: PointwiseProductReport):
 
 
 class Lemma2Certificate(NamedTuple):
-    """Unconditional guarantees: the entropy-split gap is at least -gamma and
-    the reduced-Ingleton gap is at least -delta, both within tolerance."""
+    """Unconditional guarantees, each as a slack (gap + bits) >= 0 within tolerance:
+    the entropy-split gap is at least -gamma, the reduced-Ingleton gap at least -delta."""
 
     status: str
     entropy_split: GapReport
     reduced_ingleton: GapReport
     gamma: ErrorTermCertificate
     delta: ErrorTermCertificate
+    entropy_split_slack: float
+    reduced_ingleton_slack: float
 
-    @property
-    def entropy_split_slack(self) -> float:
-        return self.entropy_split.gap + self.gamma.bits
-
-    @property
-    def reduced_ingleton_slack(self) -> float:
-        return self.reduced_ingleton.gap + self.delta.bits
-
-    def to_json_dict(self) -> dict:
-        doc = _record_json(self)
-        doc["entropy_split_slack"] = self.entropy_split_slack
-        doc["reduced_ingleton_slack"] = self.reduced_ingleton_slack
-        return doc
+    to_json_dict = _record_json
 
 
 def verify_lemma2(d: JointDistribution) -> Lemma2Certificate:
     """Check both error-term bounds on an arbitrary distribution."""
-    cert = Lemma2Certificate(
-        PASS, entropy_split_gap(d), reduced_ingleton_gap(d), gamma_term(d), delta_term(d)
-    )
-    if _at_least(cert.entropy_split_slack) and _at_least(cert.reduced_ingleton_slack):
-        return cert
-    return cert._replace(status=FAIL)
+    split, reduced = entropy_split_gap(d), reduced_ingleton_gap(d)
+    gamma, delta = gamma_term(d), delta_term(d)
+    slacks = (split.gap + gamma.bits, reduced.gap + delta.bits)
+    status = PASS if all(map(_at_least, slacks)) else FAIL
+    return Lemma2Certificate(status, split, reduced, gamma, delta, *slacks)
 
 
 class Theorem1Certificate(NamedTuple):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,16 @@ from entroplab.conditions import (
     check_support_saturation,
     check_unique_common_value,
 )
-from entroplab.distributions import JointDistribution, load_distribution
+from entroplab.distributions import JointDistribution, info_report, load_distribution
 from entroplab.errors import LabError, PreconditionFailed, Verdict
 from entroplab.families import gen_field_lines
+from entroplab.inequalities import (
+    delta_term,
+    entropy_split_gap,
+    gamma_term,
+    ingleton_gap,
+    reduced_ingleton_gap,
+)
 
 from conftest import (
     copied_bit,
@@ -290,6 +298,24 @@ def test_every_check_groups_each_table_once():
     assert [names for names in d._tables if set(names) == {"A", "X", "Y"}] == [("A", "X", "Y")]
     assert d.fibres("A", "X") is d.fibres(("A",), ("X",))
     assert d.fibres(("A", "B"), "Y") is d.fibres(("A", "B"), "Y")
+
+
+def test_info_report_and_lemma2_terms_build_one_table_per_variable_set():
+    """`info report`'s measures, the three gaps and both error terms on the
+    field-lines q=4 input with a B column leave no two cached tables over
+    the same variables: H(X,A) reads the (A, X) table's entropy, bit for
+    bit what an (X, A) table gives on a fresh copy."""
+    path = Path(__file__).parent / "golden" / "inputs" / "field-lines-4-b2.json"
+    d = load_distribution(path.read_text())
+    info_report(d)
+    for term in (ingleton_gap, reduced_ingleton_gap, entropy_split_gap, gamma_term, delta_term):
+        term(d)
+    variable_sets = [frozenset(names) for names in d._tables]
+    assert len(variable_sets) == len(set(variable_sets))
+    for names in (("X", "A"), ("Y", "A"), ("X", "Y", "A")):
+        fresh = JointDistribution(d.variables, d.counts, d.denominator)
+        assert fresh.entropy(names) == d.entropy(names)
+        assert names in fresh._tables and names not in d._tables
 
 
 # ---------------------------------------------------------------------------

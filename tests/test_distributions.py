@@ -490,6 +490,12 @@ def test_missing_role_reads_as_constant_column():
     with pytest.raises(LabError) as err:
         d.marginal(("A", "Q"))
     assert err.value.code == "UNKNOWN_VARIABLE"
+    # a missing role is accepted, so the refusal names the unknown name itself
+    for names in (("B", "Q"), ("Z", "A", "Q")):
+        with pytest.raises(LabError) as err:
+            d.entropy(names)
+        assert err.value.code == "UNKNOWN_VARIABLE"
+        assert str(err.value).startswith("variable 'Q' not among")
     # with tables already cached, a missing role marginalizes the smallest
     # one that holds the known columns: any table at all when none is known
     warm = xor_triple()

@@ -113,6 +113,11 @@ def test_disjoint_sets_gap_limit():
     assert disjoint_sets_split_gap(20, 2) == pytest.approx(-2.2724947350828604, abs=1e-9)
     assert abs(disjoint_sets_split_gap(200, 2)) == pytest.approx(math.log2(6), abs=0.05)
     assert abs(disjoint_sets_split_gap(200, 2)) < math.log2(6)
+    # the closed form refuses what the enumeration refuses, with BAD_PARAM
+    for n, k in ((6.5, 2), ("6", 2)):
+        with pytest.raises(LabError) as err:
+            disjoint_sets_split_gap(n, k)
+        assert err.value.code == "BAD_PARAM"
 
 
 def test_disjoint_sets_refuses_huge_enumerations():
