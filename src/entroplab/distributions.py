@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from itertools import combinations, repeat
@@ -70,7 +70,7 @@ def _ratio(value: object) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _common(nums: Iterable[int], dens: list[int]) -> tuple[list[int], int]:
+def _common(nums: Iterable[int], dens: Sequence[int]) -> tuple[list[int], int]:
     # The masses nums[i] / dens[i] as integer counts over the lcm of dens.
     # With every mass in lowest terms the counts are too: for each prime
     # the mass whose denominator holds its top power keeps an unscaled,
