@@ -95,12 +95,16 @@ def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verd
     t = _as_names(target)
     g = _as_names(given)
     _disjoint(t, g)
-    if len(d._table(t + g)[0]) == len(d._table(g)[0]):
+    counted = d._table(t + g)[0]
+    if len(counted) == len(d._table(g)[0]):
         return Verdict(COND_FUNCTIONAL, True)
-    cell, values = next(item for item in d.fibres(g, t).items() if len(item[1]) > 1)
-    witness = {name: val for name, val in zip(g, cell)}
-    witness["a"] = _value(values[0])
-    witness["a2"] = _value(values[1])
+    # sorted by (given, target), the first neighbours sharing a given cell are the witness
+    w = len(t)
+    cells = sorted(counted, key=lambda cell: (cell[w:], cell[:w]))
+    first, second = next(pair for pair in zip(cells, cells[1:]) if pair[0][w:] == pair[1][w:])
+    witness = {name: val for name, val in zip(g, first[w:])}
+    witness["a"] = _value(first[:w])
+    witness["a2"] = _value(second[:w])
     return Verdict(COND_FUNCTIONAL, False, witness)
 
 

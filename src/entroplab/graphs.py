@@ -409,9 +409,8 @@ def _walk(root, children):
             stack.pop()
 
 
-def _partitions(g: ColoredBipartiteGraph, limit, smallest=False):
-    """Yield each valid matching partition as a list of parts; with
-    `smallest`, only those with fewer parts than the last one yielded.
+def min_valid_matching_partition(g: ColoredBipartiteGraph, limit=None) -> int:
+    """Minimal number of parts over all valid matching partitions.
 
     Restricted-growth enumeration (Knuth, TAOCP 4A, 7.2.1.5): edges are
     assigned in a fixed order, and an edge may open a new part only after
@@ -419,7 +418,8 @@ def _partitions(g: ColoredBipartiteGraph, limit, smallest=False):
     its right vertices: it stays a matching while no edge adds a bit it has,
     and two parts involve a common (x, y) pair exactly when they share a left
     bit and a right bit.  Involvement only grows along a branch, so a clash
-    rules out the whole subtree.  A node is the index of the next edge.
+    rules out the whole subtree.  A node is the index of the next edge; a leaf
+    with fewer parts than the cap lowers it, so the cap ends the walk as K.
     """
     _search_cap(g, limit, PARTITION_SEARCH_LIMIT, "partition")
     left_bit = {x: 1 << i for i, x in enumerate(g.left)}
@@ -427,7 +427,6 @@ def _partitions(g: ColoredBipartiteGraph, limit, smallest=False):
     bits = [(left_bit[e.x], right_bit[e.y]) for e in g.edges]
     cap = len(bits) + 1  # partitions of fewer parts than this are searched for
     masks: list[tuple[int, int]] = []  # (left mask, right mask) of each part
-    assignment = []  # the part of each placed edge, in edge order
 
     def children(index):
         # place edge `index` in each part it fits, part `used` being a new one
@@ -449,32 +448,15 @@ def _partitions(g: ColoredBipartiteGraph, limit, smallest=False):
                         break
                 else:
                     masks[j] = (grown_left, grown_right)
-                    assignment.append(j)
                     yield index + 1
-                    assignment.pop()
                 masks[j] = (left, right)
             if j == used:
                 masks.pop()
 
     for index in _walk(0, children):
         if index == len(bits) and len(masks) < cap:
-            if smallest:
-                cap = len(masks)
-            parts = [[] for _ in masks]
-            for e, part in zip(g.edges, assignment):
-                parts[part].append(e.pair())
-            yield parts
-
-
-def iter_valid_matching_partitions(g: ColoredBipartiteGraph, limit=None):
-    """Yield every valid matching partition of the edge set (all-singletons
-    is always among them)."""
-    yield from _partitions(g, limit)
-
-
-def min_valid_matching_partition(g: ColoredBipartiteGraph, limit=None) -> int:
-    """Minimal number of parts over all valid matching partitions."""
-    return min(len(parts) for parts in _partitions(g, limit, smallest=True))
+            cap = len(masks)
+    return cap
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Shared distribution builders used across the test modules.
+"""Shared distribution builders and a partition enumerator used across the
+test modules.
 
 Builders here construct atoms by hand, independently of the generators in
 the package, so expected values in the tests come from closed forms rather
-than from the code under test.
+than from the code under test.  Valid matching partitions come from brute
+force, independently of the partition search.
 """
 
 import math
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from entroplab.distributions import JointDistribution
+from entroplab.graphs import verify_matching_partition
 
 
 def xor_triple():
@@ -82,6 +85,28 @@ def markov_fork(d):
                 masses[tuple(values[v] for v in d.variables)] = px * py / gg[g]
     den = math.lcm(*(m.denominator for m in masses.values()))
     return JointDistribution(d.variables, {o: int(m * den) for o, m in masses.items()}, den)
+
+
+def _matching_labellings(pairs, parts=()):
+    """Every partition of `pairs` into matchings, in lexicographic order of
+    its restricted-growth labelling: each pair joins an earlier part that has
+    neither of its endpoints, or opens the next part."""
+    if not pairs:
+        yield [list(part) for part in parts]
+        return
+    (x, y), rest = pairs[0], pairs[1:]
+    for j, part in enumerate(parts + ((),)):
+        if all(x != x2 and y != y2 for x2, y2 in part):
+            yield from _matching_labellings(rest, parts[:j] + (part + ((x, y),),) + parts[j + 1:])
+
+
+def valid_matching_partitions(g):
+    """Yield, as a list of parts of (x, y) pairs, every partition of the edges
+    into matchings that `verify_matching_partition` accepts, by brute force
+    and independently of the partition search."""
+    for parts in _matching_labellings([e.pair() for e in g.edges]):
+        if verify_matching_partition(g, parts).valid:
+            yield parts
 
 
 @st.composite

@@ -38,7 +38,6 @@ from entroplab.graphs import (
     bcc_entropy_bound,
     extend_with_cover_index,
     gen_gnk,
-    iter_valid_matching_partitions,
     min_biclique_cover,
     min_valid_matching_partition,
     verify_matching_partition,
@@ -50,6 +49,8 @@ from entroplab.inequalities import (
     verify_theorem1,
     verify_theorem2,
 )
+
+from conftest import valid_matching_partitions
 
 TOL = 1e-9
 
@@ -170,7 +171,7 @@ def test_criterion_07_matching_partition_product_bound():
         checked = 0
         for _ in range(50):
             g = _random_graph(rng)
-            for partition in iter_valid_matching_partitions(g):
+            for partition in valid_matching_partitions(g):
                 report = verify_matching_partition(g, partition)
                 assert report.valid
                 assert report.K >= report.L * report.R, (

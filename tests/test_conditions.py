@@ -300,6 +300,15 @@ def test_every_check_groups_each_table_once():
     assert d.fibres(("A", "B"), "Y") is d.fibres(("A", "B"), "Y")
 
 
+def test_failing_functional_check_reads_the_table_it_counted():
+    """A failing `check_functional` takes its witness from the (A, X, Y) table
+    it counted: no second table over {A, X, Y} is built."""
+    d = load_distribution((Path(__file__).parent / "golden" / "inputs" / "random-ax.json").read_text())
+    verdict = check_functional(d)
+    assert verdict.witness == {"X": "0", "Y": "*", "a": "0", "a2": "1"}
+    assert [names for names in d._tables if set(names) == {"A", "X", "Y"}] == [("A", "X", "Y")]
+
+
 def test_info_report_and_lemma2_terms_build_one_table_per_variable_set():
     """`info report`'s measures, the three gaps and both error terms on the
     field-lines q=4 input with a B column leave no two cached tables over

@@ -28,7 +28,8 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 # replay exercises, and returns the command's exit code (0, 1 under --strict,
 # 2 on a malformed input) as the process's.
 ENTRY_POINT_CASES = ["info-disjoint-sets", "check-all-field-lines-b", "fuzz-theorem1",
-                     "graph-bcc-exact", "check-strict-distinct-pairs", "verify-malformed"]
+                     "graph-bcc-exact", "graph-min-partition-random-5x5",
+                     "check-strict-distinct-pairs", "verify-malformed"]
 
 
 def _argv(argv):

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,6 @@ from entroplab.graphs import (
     edge_distribution,
     extend_with_cover_index,
     gen_gnk,
-    iter_valid_matching_partitions,
     load_cover,
     load_graph,
     load_partition,
@@ -38,6 +38,8 @@ from entroplab.graphs import (
     verify_matching_partition,
 )
 from entroplab.graphs import _cover_masks, _packing_prunes, _root_lower_bound, _walk
+
+from conftest import valid_matching_partitions
 
 TOL = 1e-9
 
@@ -258,7 +260,7 @@ def test_min_partition_k22_is_product():
     assert min_valid_matching_partition(g) == 4
     # the only valid partition is all-singletons: any merge involves a
     # pair owned by the part of the crossing edge
-    assert sum(1 for _ in iter_valid_matching_partitions(g)) == 1
+    assert sum(1 for _ in valid_matching_partitions(g)) == 1
 
 
 def test_min_partition_single_edge():
@@ -271,7 +273,7 @@ def test_min_partition_disjoint_edges_can_merge():
         ("x1", "x2"), ("y1", "y2"), [Edge("x1", "y1", "a"), Edge("x2", "y2", "b")]
     )
     assert min_valid_matching_partition(g) == 1
-    assert sum(1 for _ in iter_valid_matching_partitions(g)) == 2
+    assert sum(1 for _ in valid_matching_partitions(g)) == 2
 
 
 def test_min_partition_g41():
@@ -343,29 +345,38 @@ def test_walk_goes_deeper_than_the_recursion_limit():
     assert list(nodes) == list(range(depth + 1))
 
 
-def _restricted_growth(n, prefix=()):
-    """Every restricted-growth string of length n, in lexicographic order."""
-    if len(prefix) == n:
-        yield prefix
-        return
-    for j in range(max(prefix, default=-1) + 2):
-        yield from _restricted_growth(n, prefix + (j,))
-
-
 def test_partition_enumeration_matches_brute_force():
-    # every set partition of the edges, filtered by the independent checker,
-    # in the order the walker visits them
+    # the fewest parts over every partition of the edges into matchings that
+    # the independent checker accepts
     rng = random.Random(67)
     for _ in range(30):
         g = random_graph(rng, max_side=4, max_edges=7)
-        pairs = [e.pair() for e in g.edges]
-        expected = []
-        for labels in _restricted_growth(len(pairs)):
-            parts = [[p for p, j in zip(pairs, labels) if j == k] for k in range(max(labels) + 1)]
-            if verify_matching_partition(g, parts).valid:
-                expected.append(parts)
-        assert list(iter_valid_matching_partitions(g)) == expected
-        assert min_valid_matching_partition(g) == min(len(parts) for parts in expected)
+        expected = min(len(parts) for parts in valid_matching_partitions(g))
+        assert min_valid_matching_partition(g) == expected
+
+
+@pytest.mark.parametrize("source,limit,k,nodes", [
+    ("random-5x5-18-partition.json", 18, 15, 1904),
+    ((6, 1), 30, 27, 1037),
+    ((7, 1), 42, 39, 5146),
+], ids=["random-5x5-18", "gnk-6-1", "gnk-7-1"])
+def test_partition_walk_node_counts(monkeypatch, source, limit, k, nodes):
+    """The partition search finds K after visiting exactly this many nodes of
+    `_walk`: a change to its node order, its clash scan or its cap rule moves
+    the count, and a dependence on hash order makes it differ between runs."""
+    if isinstance(source, str):
+        g = load_graph((Path(__file__).parent / "golden" / "inputs" / source).read_text())
+    else:
+        g = gen_gnk(*source)
+    visited = []
+
+    def counted(root, children):
+        for node in _walk(root, children):
+            visited.append(node)
+            yield node
+
+    monkeypatch.setattr("entroplab.graphs._walk", counted)
+    assert (min_valid_matching_partition(g, limit), len(visited)) == (k, nodes)
 
 
 def test_corollary_certificate_k22():
@@ -390,7 +401,7 @@ def test_exhaustive_partitions_satisfy_product_bound():
         left_min, right_min = (
             min(d.values()) for d in g.degrees()
         )
-        for parts in iter_valid_matching_partitions(g):
+        for parts in valid_matching_partitions(g):
             assert len(parts) >= left_min * right_min
 
 
@@ -398,7 +409,7 @@ def test_partition_coloring_has_unique_common_value():
     rng = random.Random(43)
     for _ in range(15):
         g = random_graph(rng, max_side=3, max_edges=6)
-        for parts in itertools.islice(iter_valid_matching_partitions(g), 20):
+        for parts in itertools.islice(valid_matching_partitions(g), 20):
             recolored = ColoredBipartiteGraph(
                 g.left,
                 g.right,
