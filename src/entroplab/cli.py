@@ -58,14 +58,14 @@ def _exit_code(failed=False, holds=True, strict=False) -> int:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise LabError("IO_ERROR", f"cannot read {path}: {exc}")
 
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise LabError("IO_ERROR", f"cannot write {path}: {exc}")
 

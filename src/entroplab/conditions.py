@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .distributions import JointDistribution, Outcome, _as_names, _disjoint
-from .errors import FAIL, PASS, PreconditionFailed, Verdict, _mass_text
+from .errors import FAIL, PASS, Verdict, _mass_text
 
 COND_INDEPENDENCE = "independence"
 COND_CI_GIVEN = "conditional-independence"
@@ -82,8 +82,8 @@ def _check_ci(condition: str, d: JointDistribution, first, second, given) -> Ver
                 rhs = taxy.get(ca + cx + cy, 0) * na
                 if lhs != rhs:
                     witness = {name: val for name, val in zip(a + x + y, ca + cx + cy)}
-                    return Verdict(condition, False, witness)
-    return Verdict(condition, True)
+                    return Verdict(condition, witness)
+    return Verdict(condition)
 
 
 def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verdict:
@@ -97,7 +97,7 @@ def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verd
     _disjoint(t, g)
     counted = d._table(t + g)[0]
     if len(counted) == len(d._table(g)[0]):
-        return Verdict(COND_FUNCTIONAL, True)
+        return Verdict(COND_FUNCTIONAL)
     # sorted by (given, target), the first neighbours sharing a given cell are the witness
     w = len(t)
     cells = sorted(counted, key=lambda cell: (cell[w:], cell[:w]))
@@ -105,7 +105,7 @@ def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verd
     witness = {name: val for name, val in zip(g, first[w:])}
     witness["a"] = _value(first[:w])
     witness["a2"] = _value(second[:w])
-    return Verdict(COND_FUNCTIONAL, False, witness)
+    return Verdict(COND_FUNCTIONAL, witness)
 
 
 def check_support_saturation(d: JointDistribution) -> Verdict:
@@ -116,7 +116,7 @@ def check_support_saturation(d: JointDistribution) -> Verdict:
     sorted order, for the smallest witness."""
     taxy = d._table(("A", "X", "Y"))[0]
     if sum(len(xs) * len(ys) for _, xs, ys in d.cells("A", "X", "Y")) == len(taxy):
-        return Verdict(COND_SUPPORT_SATURATION, True)
+        return Verdict(COND_SUPPORT_SATURATION)
     a, x, y = next(
         (a, x, y)
         for (a,), xs, ys in d.cells("A", "X", "Y")
@@ -124,7 +124,7 @@ def check_support_saturation(d: JointDistribution) -> Verdict:
         for (y,) in ys
         if (a, x, y) not in taxy
     )
-    return Verdict(COND_SUPPORT_SATURATION, False, {"a": a, "x": x, "y": y})
+    return Verdict(COND_SUPPORT_SATURATION, {"a": a, "x": x, "y": y})
 
 
 def check_unique_common_value(d: JointDistribution) -> Verdict:
@@ -143,9 +143,9 @@ def check_unique_common_value(d: JointDistribution) -> Verdict:
         default=None,
     )
     if best is None:
-        return Verdict(COND_UNIQUE_COMMON_VALUE, True)
+        return Verdict(COND_UNIQUE_COMMON_VALUE)
     a, a2, x, y = best
-    return Verdict(COND_UNIQUE_COMMON_VALUE, False, {"a": a, "a2": a2, "x": x, "y": y})
+    return Verdict(COND_UNIQUE_COMMON_VALUE, {"a": a, "a2": a2, "x": x, "y": y})
 
 
 class PointwiseProductReport(NamedTuple):
@@ -214,15 +214,11 @@ def check_pointwise_product(d: JointDistribution) -> PointwiseProductReport:
                     argmax = {"a": a, "x": x, "y": y}
     max_ratio = Fraction(best_lhs, best_rhs)
     if worst is None:
-        verdict = Verdict(COND_POINTWISE_PRODUCT, True)
+        verdict = Verdict(COND_POINTWISE_PRODUCT)
     else:
         a, x, y = worst
-        verdict = Verdict(
-            COND_POINTWISE_PRODUCT,
-            False,
-            {"a": a, "x": x, "y": y},
-            detail="left product exceeds right product at this cell",
-        )
+        verdict = Verdict(COND_POINTWISE_PRODUCT, {"a": a, "x": x, "y": y},
+                          "left product exceeds right product at this cell")
     return PointwiseProductReport(verdict, equality, max_ratio, argmax)
 
 
@@ -246,12 +242,8 @@ class Lemma1Audit(NamedTuple):
     violations: tuple[str, ...]
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
     def status(self) -> str:
-        return PASS if self.ok else FAIL
+        return FAIL if self.violations else PASS
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,7 +257,7 @@ class Lemma1Audit(NamedTuple):
                 )
             },
             "violations": list(self.violations),
-            "ok": self.ok,
+            "ok": not self.violations,
         }
 
 
@@ -293,23 +285,15 @@ class Lemma3Audit(NamedTuple):
     failures: tuple[dict, ...] = ()
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
     def status(self) -> str:
-        return PASS if self.ok else FAIL
+        return FAIL if self.failures else PASS
 
 
 def audit_lemma3(d: JointDistribution, trials: int, seed: int) -> Lemma3Audit:
     """Condition a cond-2-C distribution on ``trials`` random positive-mass
     events (atom subsets, and B slices when a B column exists) and re-check
     the condition after each conditioning."""
-    base = check_unique_common_value(d)
-    if not base.holds:
-        raise PreconditionFailed(
-            "distribution does not satisfy cond-2-C", base.witness
-        )
+    check_unique_common_value(d).require()
     rng = random.Random(seed)
     outcomes = sorted(d.counts)
     b_values = d.alphabet("B") if "B" in d.variables else []

@@ -2,8 +2,10 @@
 
 Every error carries a stable machine-readable ``code`` (for example
 ``"SUM_NOT_ONE"`` or ``"UNKNOWN_VARIABLE"``) so the CLI and the tests can
-dispatch on failures without parsing messages.  A ``Verdict`` is the
-non-raising twin of ``PreconditionFailed``: a condition and its witness.
+dispatch on failures without parsing messages.  A ``Verdict`` is a
+condition and its witness: it holds exactly when there is no witness, and
+``Verdict.require`` is the one place a failed verdict raises
+``PreconditionFailed``.
 The verifier statuses are PASS (the hypothesis holds and every assertion
 checks out), NOT_APPLICABLE (the hypothesis fails, with a witness) and FAIL
 (a violated guarantee, which the CLI treats as build-breaking: exit 3).
@@ -52,22 +54,22 @@ class TooLarge(LabError):
         super().__init__("TOO_LARGE", message)
 
 
-class _VerdictFields(NamedTuple):
+class Verdict(NamedTuple):
+    """Outcome of one condition check: it holds exactly when no witness exists."""
+
     condition: str
-    holds: bool
     witness: dict | None = None
     detail: str = ""
 
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
-class Verdict(_VerdictFields):
-    """Outcome of one condition check; holds is False iff a witness exists."""
-
-    __slots__ = ()
-
-    def __new__(cls, condition: str, holds: bool, witness: dict | None = None, detail: str = ""):
-        if holds == (witness is not None):
-            raise LabError("BAD_PARAM", "verdict must carry a witness exactly when it fails")
-        return super().__new__(cls, condition, holds, witness, detail)
+    def require(self) -> None:
+        """Raise PreconditionFailed with the witness unless the verdict holds."""
+        if self.witness is not None:
+            detail = f": {self.detail}" if self.detail else ""
+            raise PreconditionFailed(f"{self.condition} fails{detail}", self.witness)
 
     def to_json_dict(self) -> dict:
         doc = {"condition": self.condition, "holds": self.holds, "witness": self.witness}

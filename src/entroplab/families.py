@@ -99,6 +99,10 @@ def gen_distinct_pairs(n: int) -> JointDistribution:
     """Uniform ordered pair (X, Y) of distinct values in {1..n}; A is the
     unordered pair, so A determines {X, Y} but not which is which.  This is
     ``gen_disjoint_sets(n, 1)`` with the braces dropped from X and Y."""
+    if not isinstance(n, int) or n < 2:
+        raise LabError("BAD_PARAM", f"distinct-pairs needs n >= 2, got n={n!r}")
+    if n * (n - 1) > ATOM_BUDGET:
+        raise TooLarge(f"distinct-pairs needs n(n-1) <= {ATOM_BUDGET} ordered pairs, got n={n}")
     d = gen_disjoint_sets(n, 1)
     counts = {(a, x[1:-1], y[1:-1]): c for (a, x, y), c in d.counts.items()}
     return JointDistribution(d.variables, counts, d.denominator)

@@ -474,13 +474,9 @@ def check_property_star(g: ColoredBipartiteGraph) -> Verdict:
         pairs = sorted(e.pair() for e in edges)
         for (x, y), (x2, y2) in itertools.combinations(pairs, 2):
             if x == x2 or y == y2 or (g.has_edge(x, y2) and g.has_edge(x2, y)):
-                return Verdict(
-                    PROPERTY_STAR,
-                    False,
-                    {"color": color, "x": x, "y": y, "x2": x2, "y2": y2},
-                    "two same-colored edges lie in a common biclique",
-                )
-    return Verdict(PROPERTY_STAR, True, None)
+                return Verdict(PROPERTY_STAR, {"color": color, "x": x, "y": y, "x2": x2, "y2": y2},
+                               "two same-colored edges lie in a common biclique")
+    return Verdict(PROPERTY_STAR)
 
 
 def check_property_doublestar(g: ColoredBipartiteGraph) -> Verdict:
@@ -494,14 +490,11 @@ def check_property_doublestar(g: ColoredBipartiteGraph) -> Verdict:
             if g.has_edge(x, y) and g.has_edge(x2, y2):
                 corner = g.edge_at(x, y)
                 if corner.color != color:
-                    return Verdict(
-                        PROPERTY_DOUBLESTAR,
-                        False,
-                        {"color": color, "x": x, "y": y,
-                         "corner_color": corner.color, "x2": x2, "y2": y2},
-                        "crossing pair does not force the corner color",
-                    )
-    return Verdict(PROPERTY_DOUBLESTAR, True, None)
+                    return Verdict(PROPERTY_DOUBLESTAR,
+                                   {"color": color, "x": x, "y": y,
+                                    "corner_color": corner.color, "x2": x2, "y2": y2},
+                                   "crossing pair does not force the corner color")
+    return Verdict(PROPERTY_DOUBLESTAR)
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +516,6 @@ def _floor_report(name: str, value: float, exact, requires: str) -> BoundReport:
     return BoundReport(name, value, max(1, math.ceil(value - TOLERANCE)), exact, requires)
 
 
-def _require(verdict: Verdict):
-    if not verdict.holds:
-        raise PreconditionFailed(
-            f"{verdict.condition} fails: {verdict.detail}", witness=verdict.witness
-        )
-
-
 def _entropy_floor(d: JointDistribution) -> float:
     # the cover-size floor 2^((H(A|X)+H(A|Y)-H(A))/2) of an (A, X, Y) distribution
     return 2.0 ** ((d.cond_entropy("A", "X") + d.cond_entropy("A", "Y") - d.entropy("A")) / 2)
@@ -538,7 +524,7 @@ def _entropy_floor(d: JointDistribution) -> float:
 def bcc_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
     """Cover-size floor 2^((H(A|X)+H(A|Y)-H(A))/2) under the forced-corner
     property."""
-    _require(g._once(check_property_doublestar))
+    g._once(check_property_doublestar).require()
     return _floor_report(
         "entropy", _entropy_floor(g._once(edge_distribution)), None, PROPERTY_DOUBLESTAR
     )
@@ -547,7 +533,7 @@ def bcc_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
 def bcc_color_bound(g: ColoredBipartiteGraph) -> BoundReport:
     """Largest color class: its edges pairwise refuse to share a biclique,
     so each needs its own."""
-    _require(g._once(check_property_star))
+    g._once(check_property_star).require()
     _require_edges(g)
     top = max(len(edges) for edges in g.color_classes().values())
     return BoundReport("color", float(top), top, Fraction(top), PROPERTY_STAR)
@@ -561,7 +547,7 @@ def bcc_dual_entropy_bound(g: ColoredBipartiteGraph) -> BoundReport:
     When edges are unweighted and the color classes all have the same
     size, the value is that size exactly as a rational.
     """
-    _require(g._once(check_property_star))
+    g._once(check_property_star).require()
     d = g._once(edge_distribution)
     value = 2.0 ** (d.entropy(("X", "Y")) - d.entropy("A"))
     classes = g.color_classes()
@@ -603,18 +589,15 @@ def verify_biclique_cover(g: ColoredBipartiteGraph, cover) -> Verdict:
     covered = set()
     for b in cover:
         if not b.left or not b.right:
-            return Verdict("biclique-cover", False, {"biclique": b.to_json_dict()},
-                           "empty side")
+            return Verdict("biclique-cover", {"biclique": b.to_json_dict()}, "empty side")
         for x, y in b.pairs():
             if not g.has_edge(x, y):
-                return Verdict("biclique-cover", False, {"x": x, "y": y},
-                               "biclique cell is not an edge")
+                return Verdict("biclique-cover", {"x": x, "y": y}, "biclique cell is not an edge")
             covered.add((x, y))
     for e in g.edges:
         if e.pair() not in covered:
-            return Verdict("biclique-cover", False, {"x": e.x, "y": e.y},
-                           "edge not covered")
-    return Verdict("biclique-cover", True, None)
+            return Verdict("biclique-cover", {"x": e.x, "y": e.y}, "edge not covered")
+    return Verdict("biclique-cover")
 
 
 def _root_lower_bound(g: ColoredBipartiteGraph) -> int:

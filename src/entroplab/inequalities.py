@@ -41,8 +41,7 @@ from .conditions import (
     check_unique_common_value,
 )
 from .distributions import JointDistribution, _inverses, log2_fraction
-from .errors import (FAIL, NOT_APPLICABLE, PASS, LabError, PreconditionFailed, Verdict, _at_least,
-                     _record_json)
+from .errors import FAIL, NOT_APPLICABLE, PASS, LabError, Verdict, _at_least, _record_json
 
 
 class GapReport(NamedTuple):
@@ -161,10 +160,7 @@ def _delta_prime(saturated: Verdict, pointwise: PointwiseProductReport):
     # The delta-prime certificate from one distribution's cond-2-B verdict
     # and pointwise report.  cond-2-B keeps the ratio's denominator positive
     # wherever its numerator is; without it the report is not read.
-    if not saturated.holds:
-        raise PreconditionFailed(
-            "delta-prime needs cond-2-B (support saturation)", saturated.witness
-        )
+    saturated.require()
     return _certificate("delta-prime", pointwise.max_ratio)
 
 

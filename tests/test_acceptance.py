@@ -91,13 +91,13 @@ def test_criterion_03_lemma1_and_lemma3_audits():
         rng = random.Random(77)
         for trial in range(1000):
             audit = audit_lemma1(_sparse_sample(rng))
-            assert audit.ok, (trial, audit.violations)
+            assert audit.status == "PASS", (trial, audit.violations)
         for i in range(20):
             sizes = tuple(random.Random(i).randint(1, 4) for _ in range(4))
             d = sample_cond2c(1000 + i, sizes)
             audit = audit_lemma3(d, trials=5, seed=i)
             assert audit.trials == 5
-            assert audit.ok, (i, audit.failures)
+            assert audit.status == "PASS", (i, audit.failures)
 
 
 def test_criterion_04_distinct_pairs_n5():

@@ -137,6 +137,15 @@ def test_catalog_usage_errors(argv):
     assert invoke(*argv).exit_code == 2
 
 
+@pytest.mark.parametrize("n, code, message", [
+    ("1", "BAD_PARAM", "distinct-pairs needs n >= 2, got n=1"),
+    ("2000", "TOO_LARGE", "distinct-pairs needs n(n-1) <= 1000000 ordered pairs, got n=2000"),
+])
+def test_distinct_pairs_refusals_name_the_family(n, code, message):
+    assert invoke_json("catalog", "gen", "--family", "distinct-pairs", "--n", n) == (
+        2, {"error": {"code": code, "message": message}})
+
+
 # ---------------------------------------------------------------------------
 # info / check
 
@@ -714,6 +723,30 @@ def test_no_function_in_the_package_calls_itself():
         ("walk", 2), ("f", 5)]
 
 
+def _unused_imports(tree):
+    """(name, line) of each name a ``from ... import`` binds, other than from
+    ``__future__``, that the module never reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        (alias.asname or alias.name, node.lineno)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        and node.module != "__future__"
+        for alias in node.names if (alias.asname or alias.name) not in read
+    ]
+
+
+def test_no_module_in_the_package_imports_a_name_it_never_uses():
+    unused = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for name, line in _unused_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            unused[f"{path.stem}.{name}"] = line
+    assert unused == {}
+    assert _unused_imports(ast.parse("from __future__ import annotations\n"
+                                     "from os import path, sep as s\n"
+                                     "def f():\n    from sys import argv\n    return s\n")) == [
+        ("path", 2), ("argv", 4)]
+
+
 def test_exact_cover_ignores_hash_seed(graph_file):
     path = graph_file(gen_gnk(6, 1))
     runs = [
@@ -862,6 +895,29 @@ def test_help_is_argparse_text_written_like_any_output(monkeypatch):
     result = _run_unwritable(["--help"], "full", "pipe")
     assert result.returncode == 2, result.stderr
     assert json.loads(result.stderr)["error"]["code"] == "IO_ERROR"
+
+
+def test_file_io_does_not_depend_on_the_locale(tmp_path):
+    """--dist reads and --out writes name UTF-8, so they run with every
+    default-encoding warning made an error and give the same bytes."""
+    dist = tmp_path / "d.json"
+    dist.write_text('{"variables": ["A", "X", "Y"], "atoms": [{"values": '
+                    '{"A": "\u03b1", "X": "\u00e9", "Y": "\u2192"}, "p": "1"}]}',
+                    encoding="utf-8")
+    strict = dict(os.environ, PYTHONWARNDEFAULTENCODING="1",
+                  PYTHONWARNINGS="error::EncodingWarning")
+
+    def stdout(*argv):
+        runs = [subprocess.run([sys.executable, "-m", "entroplab", *argv],
+                               capture_output=True, env=env) for env in (os.environ, strict)]
+        assert [(r.returncode, r.stderr) for r in runs] == [(0, b"")] * 2, runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
+        return runs[1].stdout
+
+    stdout("check", "--all", "--dist", str(dist))
+    out = tmp_path / "out.json"
+    assert stdout("catalog", "gen", "--family", "distinct-pairs", "--n", "3",
+                  "--out", str(out)) == out.read_bytes()
 
 
 def test_module_entry_point(tmp_path):

@@ -23,7 +23,7 @@ from entroplab.conditions import (
     check_unique_common_value,
 )
 from entroplab.distributions import JointDistribution, info_report, load_distribution
-from entroplab.errors import LabError, PreconditionFailed, Verdict
+from entroplab.errors import PASS, LabError, PreconditionFailed, Verdict
 from entroplab.families import gen_field_lines
 from entroplab.inequalities import (
     delta_term,
@@ -215,8 +215,8 @@ def scan_functional(d, target=("A",), given=("X", "Y")):
             witness = dict(zip(given, cell))
             for key, value in zip(("a", "a2"), values):
                 witness[key] = value[0] if len(value) == 1 else list(value)
-            return Verdict(COND_FUNCTIONAL, False, witness)
-    return Verdict(COND_FUNCTIONAL, True)
+            return Verdict(COND_FUNCTIONAL, witness)
+    return Verdict(COND_FUNCTIONAL)
 
 
 def scan_support_saturation(d):
@@ -226,8 +226,8 @@ def scan_support_saturation(d):
         for (x,) in xs:
             for (y,) in ys_by_a[(a,)]:
                 if (a, x, y) not in taxy:
-                    return Verdict(COND_SUPPORT_SATURATION, False, {"a": a, "x": x, "y": y})
-    return Verdict(COND_SUPPORT_SATURATION, True)
+                    return Verdict(COND_SUPPORT_SATURATION, {"a": a, "x": x, "y": y})
+    return Verdict(COND_SUPPORT_SATURATION)
 
 
 def scan_unique_common_value(d):
@@ -240,9 +240,9 @@ def scan_unique_common_value(d):
             if len(common) > 1 and (best is None or (*common[:2], x, y) < best):
                 best = (*common[:2], x, y)
     if best is None:
-        return Verdict(COND_UNIQUE_COMMON_VALUE, True)
+        return Verdict(COND_UNIQUE_COMMON_VALUE)
     a, a2, x, y = best
-    return Verdict(COND_UNIQUE_COMMON_VALUE, False, {"a": a, "a2": a2, "x": x, "y": y})
+    return Verdict(COND_UNIQUE_COMMON_VALUE, {"a": a, "a2": a2, "x": x, "y": y})
 
 
 SCANNED_CHECKS = [
@@ -387,7 +387,7 @@ def test_lemma1_audit_on_xor():
     assert audit.functional.holds
     assert not audit.support_saturation.holds
     assert not audit.unique_common_value.holds
-    assert audit.ok
+    assert audit.status == PASS
 
 
 def test_lemma1_audit_on_copied_bit():
@@ -396,7 +396,7 @@ def test_lemma1_audit_on_copied_bit():
     assert audit.support_saturation.holds
     assert audit.unique_common_value.holds
     assert audit.functional.holds
-    assert audit.ok
+    assert audit.status == PASS
 
 
 def test_lemma1_audit_finds_no_violation_on_fuzzed_distributions():
@@ -404,13 +404,13 @@ def test_lemma1_audit_finds_no_violation_on_fuzzed_distributions():
     for _ in range(1000):
         d = random_support_distribution(rng, ("A", "X", "Y"), max_size=3)
         audit = audit_lemma1(d)
-        assert audit.ok, audit.to_json_dict()
+        assert audit.status == PASS, audit.to_json_dict()
 
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_triples())
 def test_lemma1_implications_hold_under_hypothesis(d):
-    assert audit_lemma1(d).ok
+    assert audit_lemma1(d).status == PASS
 
 
 def test_lemma3_requires_the_condition():
@@ -431,7 +431,7 @@ def test_lemma3_conditioning_preserves_the_condition():
     )
     assert check_unique_common_value(d).holds
     audit = audit_lemma3(d, trials=100, seed=9)
-    assert audit.ok
+    assert audit.status == PASS
     assert audit.trials == 100
 
 
@@ -446,28 +446,33 @@ def test_lemma3_is_deterministic_for_a_seed():
 # verdicts and result records
 
 
-def test_verdict_carries_a_witness_exactly_when_it_fails():
-    for holds, witness in ((True, {"a": "0"}), (False, None)):
-        with pytest.raises(LabError) as err:
-            Verdict("independence", holds, witness)
-        assert err.value.code == "BAD_PARAM"
-    v = Verdict("independence", False, {"a": "0"}, detail="why")
-    assert v == Verdict("independence", False, {"a": "0"}, "why")
-    assert v != Verdict("independence", False, {"a": "1"}, "why")
-    assert repr(v) == (
-        "Verdict(condition='independence', holds=False, witness={'a': '0'}, detail='why')"
-    )
-    assert hash(Verdict("functional", True)) == hash(Verdict("functional", True))
+def test_verdict_holds_exactly_when_it_has_no_witness():
+    passed = Verdict("functional")
+    assert passed.holds and passed.witness is None
+    assert passed.require() is None
+    assert passed.to_json_dict() == {"condition": "functional", "holds": True, "witness": None}
+    v = Verdict("independence", {"a": "0"}, detail="why")
+    assert not v.holds
+    with pytest.raises(PreconditionFailed) as err:
+        v.require()
+    assert (err.value.code, err.value.witness) == ("PRECONDITION_FAILED", {"a": "0"})
+    assert str(err.value) == "independence fails: why"
+    with pytest.raises(PreconditionFailed, match=r"^independence fails$"):
+        Verdict("independence", {"a": "0"}).require()
+    assert v == Verdict("independence", {"a": "0"}, "why")
+    assert v != Verdict("independence", {"a": "1"}, "why")
+    assert repr(v) == "Verdict(condition='independence', witness={'a': '0'}, detail='why')"
+    assert hash(Verdict("functional")) == hash(Verdict("functional", None, ""))
 
 
 def test_result_records_are_immutable():
     verdict = check_independence(xor_triple(), "X", "Y")
     report = check_pointwise_product(xor_triple())
     audit = audit_lemma3(copied_bit(), trials=2, seed=1)
-    for record, name in ((verdict, "holds"), (report, "equality"), (audit, "failures")):
+    for record, name in ((verdict, "witness"), (report, "equality"), (audit, "failures")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     with pytest.raises(AttributeError):
         del verdict.witness
     assert Lemma3Audit(4).failures == ()
-    assert Lemma3Audit(4).ok
+    assert Lemma3Audit(4).status == PASS
