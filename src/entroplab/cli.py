@@ -356,11 +356,11 @@ def _cmd_graph(args) -> CommandOutcome:
         return _document(doc)
     # z-extend
     cover = load_cover(_read(args.cover))
-    report = extend_with_cover_index(g, cover)
+    ext, report = extend_with_cover_index(g, cover)
     doc = report.to_json_dict()
-    doc["fingerprint"] = report.distribution.fingerprint()
+    doc["fingerprint"] = ext.fingerprint()
     if args.out:
-        _write(args.out, report.distribution.dumps())
+        _write(args.out, ext.dumps())
     holds = report.split_holds and report.size_floor_holds
     return _document(doc, _exit_code(holds=holds, strict=args.strict))
 

@@ -7,7 +7,7 @@ own lowest-terms denominator.  Marginalization and conditioning stay
 exact on those integers, so support predicates and product identities are
 decided by integer cross-multiplication.  ``fractions.Fraction`` appears
 only at the edges: mass strings other than plain ``n/d``, the public
-``atoms`` view (made on each access, never cached), and the power-sum
+``atoms`` dict (made on each access, never cached), and the power-sum
 certificates.  Information
 measures are returned in bits (base-2 logarithm, double precision).
 The input rules it shares with ``graphs`` are in ``errors``.
@@ -115,25 +115,6 @@ def log2_fraction(q: Fraction) -> float:
     return min(bits, -math.ulp(0.0))
 
 
-class _Masses(Mapping):
-    """The atoms as a read-only mapping to Fractions, made on each access."""
-
-    __slots__ = ("_counts", "_den")
-
-    def __init__(self, counts: Counts, den: int):
-        self._counts = counts
-        self._den = den
-
-    def __getitem__(self, outcome) -> Fraction:
-        return Fraction(self._counts[outcome], self._den)
-
-    def __iter__(self):
-        return iter(self._counts)
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-
 class JointDistribution:
     """A tuple of named discrete variables with exact positive atom masses.
 
@@ -211,9 +192,10 @@ class JointDistribution:
         return f"JointDistribution(variables={self.variables}, atoms={len(self.counts)})"
 
     @property
-    def atoms(self) -> Mapping[Outcome, Fraction]:
-        """The atom masses as Fractions, made on access; not for hot paths."""
-        return _Masses(self.counts, self.denominator)
+    def atoms(self) -> dict[Outcome, Fraction]:
+        """The atom masses as Fractions, in a dict made on each access; not for hot paths."""
+        den = self.denominator
+        return {outcome: Fraction(n, den) for outcome, n in self.counts.items()}
 
     # ------------------------------------------------------------------
     # variable handling
@@ -298,15 +280,6 @@ class JointDistribution:
 
     # ------------------------------------------------------------------
     # core operations
-
-    def marginal(self, variables: Iterable[str] | str) -> "JointDistribution":
-        """Project onto a non-empty subset of variables, merging atoms."""
-        names = _as_names(variables)
-        if not names:
-            raise LabError("SCHEMA_ERROR", "marginal requires at least one variable")
-        if len(set(names)) != len(names):
-            raise LabError("OVERLAPPING_SETS", f"repeated variable in {names}")
-        return JointDistribution(names, *self._table(names))
 
     def condition(self, event) -> "JointDistribution":
         """Condition on a positive-mass event and renormalize exactly.

@@ -10,8 +10,7 @@ interesting points of the entropy region:
 * ``gen_disjoint_sets(n, k)``: a uniform ordered pair of disjoint
   ``k``-subsets of ``{1..n}`` with ``A`` their union.  Generalizes
   distinct pairs (``k=1``); the violation approaches ``log2 C(2k,k)``
-  as ``n`` grows, available in closed form via
-  ``disjoint_sets_split_gap`` when enumeration is out of reach.
+  as ``n`` grows.
 * ``gen_field_lines(k_exp, delta)``: a uniform affine line over
   ``GF(2^k_exp)`` observed at an abscissa from each half of the field,
   with a rank-one coupling of strength ``delta`` between the two
@@ -29,9 +28,8 @@ output survives strict schema validation.
 import itertools
 import math
 import random
-from fractions import Fraction
 
-from .distributions import JointDistribution, _insert_by_role, log2_fraction
+from .distributions import JointDistribution, _insert_by_role
 from .errors import LabError, TooLarge, as_fraction
 
 ATOM_BUDGET = 10**6
@@ -112,20 +110,11 @@ def gen_disjoint_sets(n: int, k: int) -> JointDistribution:
     """Uniform ordered pair (X, Y) of disjoint k-subsets of {1..n}; A is
     their union, a 2k-subset that hides the split.
 
-    H(A) = log2 C(n,2k) and H(A|X) = H(A|Y) = log2 C(n-k,k) exactly; the
-    entropy-split gap is available without enumeration through
-    ``disjoint_sets_split_gap``.
+    H(A) = log2 C(n,2k) and H(A|X) = H(A|Y) = log2 C(n-k,k) exactly, so the
+    entropy-split gap is log2 C(n,2k) - 2 log2 C(n-k,k).
     """
     count = _disjoint_pair_count(n, k, "disjoint-sets")
     return JointDistribution(("A", "X", "Y"), dict.fromkeys(_disjoint_set_atoms(n, k), 1), count)
-
-
-def disjoint_sets_split_gap(n: int, k: int) -> float:
-    """Closed form of the entropy-split gap for gen_disjoint_sets(n, k):
-    log2 C(n,2k) - 2 log2 C(n-k,k), exact up to the final log."""
-    if not isinstance(n, int) or not isinstance(k, int) or k < 1 or 2 * k > n:
-        raise LabError("BAD_PARAM", f"disjoint-sets needs 1 <= k <= n/2, got n={n!r} k={k!r}")
-    return log2_fraction(Fraction(math.comb(n, 2 * k), math.comb(n - k, k) ** 2))
 
 
 def gen_field_lines(k_exp: int, delta) -> JointDistribution:

@@ -1,5 +1,5 @@
-"""Shared distribution builders and a partition enumerator used across the
-test modules.
+"""Shared distribution builders, a closed-form gap and a partition
+enumerator used across the test modules.
 
 Builders here construct atoms by hand, independently of the generators in
 the package, so expected values in the tests come from closed forms rather
@@ -51,6 +51,12 @@ def pairs_triple(n):
                 a = "{%d,%d}" % (min(x, y), max(x, y))
                 atoms[(a, str(x), str(y))] = 1
     return JointDistribution(("A", "X", "Y"), atoms, n * (n - 1))
+
+
+def disjoint_sets_split_gap(n, k):
+    """Closed form of the entropy-split gap of gen_disjoint_sets(n, k),
+    log2 C(n,2k) - 2 log2 C(n-k,k), with no enumeration."""
+    return math.log2(math.comb(n, 2 * k)) - 2 * math.log2(math.comb(n - k, k))
 
 
 def random_support_distribution(rng, variables=("A", "B", "X", "Y"), max_size=3):

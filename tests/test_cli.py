@@ -10,10 +10,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from entroplab import cli, conditions, graphs
+from entroplab import cli, conditions, graphs, inequalities
 from entroplab.cli import run
 from entroplab.distributions import JointDistribution, load_distribution
-from entroplab.families import gen_distinct_pairs, sample_cond2c
+from entroplab.families import gen_distinct_pairs, gen_field_lines, sample_cond2c
 from entroplab.graphs import dump_cover, extend_with_cover_index, gen_gnk, min_biclique_cover
 
 from conftest import pairs_triple, xor_triple
@@ -266,8 +266,31 @@ def test_verify_fail_exits_three(monkeypatch, dist_file):
     assert invoke("verify", "--dist", dist_file(xor_triple()), "--theorem", "1").exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "theorem, term, fault",
+    [
+        ("1", "entropy_split_gap", lambda report: report._replace(gap=-1.0)),
+        ("1", "gamma_term", lambda cert: cert._replace(power_sum=Fraction(2))),
+        ("2", "reduced_ingleton_gap", lambda report: report._replace(gap=-1.0)),
+        ("2", "check_pointwise_product", lambda report: report._replace(equality=False)),
+    ],
+    ids=["split-gap", "gamma", "reduced-gap", "pointwise-equality"],
+)
+def test_verify_fails_when_one_term_fails(monkeypatch, dist_file, theorem, term, fault):
+    """Each theorem PASSes on field-lines only while every term it decides on
+    does: one faulted term, the others still true, makes it FAIL with exit 3."""
+    path = dist_file(gen_field_lines(2, Fraction(1, 2)))
+    code, doc = invoke_json("verify", "--dist", path, "--theorem", theorem)
+    assert (code, doc["status"]) == (0, "PASS")
+    original = getattr(inequalities, term)
+    monkeypatch.setattr(inequalities, term, lambda d: fault(original(d)))
+    code, doc = invoke_json("verify", "--dist", path, "--theorem", theorem)
+    assert (code, doc["status"]) == (3, "FAIL")
+
+
 def _negative_split(g, cover):
-    return extend_with_cover_index(g, cover)._replace(split_slack=-1.0)
+    ext, report = extend_with_cover_index(g, cover)
+    return ext, report._replace(split_slack=-1.0, split_holds=False)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from entroplab.families import extend_with_random_B, sample_random_distribution
 from entroplab.inequalities import delta_term, gamma_term
 
 
-def marginal(d, names):
+def fraction_table(d, names):
     cols = [d.variables.index(n) for n in names]
     out = {}
     for outcome, p in d.atoms.items():
@@ -43,7 +43,7 @@ class Reference:
     def p(self, **cell):
         names = tuple(sorted(cell))
         if names not in self.tables:
-            self.tables[names] = marginal(self.d, names)
+            self.tables[names] = fraction_table(self.d, names)
         return self.tables[names].get(tuple(cell[n] for n in names), Fraction(0))
 
     def cube(self, *names):
@@ -130,7 +130,8 @@ SAMPLES = [*extended_samples(), *conditioned_samples(), load_distribution(RECORD
 
 
 def test_samples_reach_large_denominators_and_every_verdict():
-    bits = [max(p.denominator for p in marginal(d, ("B",)).values()).bit_length() for d in SAMPLES]
+    bits = [max(p.denominator for p in fraction_table(d, ("B",)).values()).bit_length()
+            for d in SAMPLES]
     assert max(bits) > 200
     reports = [check_pointwise_product(d) for d in SAMPLES]
     assert {r.holds for r in reports} == {True, False}
@@ -181,7 +182,7 @@ def test_independence_verdict_matches_the_definition(index):
     for u, v in ((("X",), ("Y",)), (("A",), ("B",)), (("X", "Y"), ("A",)), (("B",), ("A", "X"))):
         assert_independence_matches(d, u, v)
     # B is a missing role once it is marginalized away
-    no_b = d.marginal(("A", "X", "Y"))
+    no_b = JointDistribution(("A", "X", "Y"), *d._table(("A", "X", "Y")))
     for u, v in ((("B",), ("X",)), (("A", "B"), ("Y",)), (("X", "Y"), ("A",))):
         assert_independence_matches(no_b, u, v)
 

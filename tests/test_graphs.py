@@ -130,7 +130,8 @@ def test_weighted_graph_round_trip():
     assert [row["w"] for row in g.to_json_dict()["edges"]] == ["1/2", "1/4", "1/4"]
     assert load_graph(g.dumps()) == g
     d = edge_distribution(g)
-    assert d.marginal("X").atoms[("x1",)] == Fraction(3, 4)
+    counts, den = d._table("X")
+    assert Fraction(counts[("x1",)], den) == Fraction(3, 4)
 
 
 @pytest.mark.parametrize(
@@ -141,12 +142,23 @@ def test_weighted_graph_round_trip():
         ([Edge("x1", "y1", "a"), Edge("x1", "y1", "b")], "PARALLEL_EDGE"),
         ([Edge("x1", "y1", "a", Fraction(1, 2)), Edge("x2", "y1", "b")], "SCHEMA_ERROR"),
         ([Edge("x1", "y1", "a", Fraction(1, 2))], "SUM_NOT_ONE"),
+        # the weights still sum to one, so only the sign check refuses it
+        ([Edge("x1", "y1", "a", Fraction(1)), Edge("x2", "y1", "b", Fraction(0))],
+         "NEGATIVE_PROB"),
     ],
 )
 def test_graph_validation(edges, code):
     with pytest.raises(LabError) as err:
         ColoredBipartiteGraph(("x1", "x2"), ("y1", "y2"), edges)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("left,right", [(("x1", "x1"), ("y1",)), (("x1",), ("y1", "y1"))],
+                         ids=["left", "right"])
+def test_duplicate_vertex_on_one_side(left, right):
+    with pytest.raises(LabError) as err:
+        ColoredBipartiteGraph(left, right, [])
+    assert err.value.code == "SCHEMA_ERROR"
 
 
 def test_cover_and_partition_round_trips():
@@ -355,6 +367,20 @@ def test_partition_enumeration_matches_brute_force():
         assert min_valid_matching_partition(g) == expected
 
 
+def _count_walk(monkeypatch):
+    """Make `graphs._walk` record every node it yields, the root included, in
+    the list returned."""
+    visited = []
+
+    def counted(root, children):
+        for node in _walk(root, children):
+            visited.append(node)
+            yield node
+
+    monkeypatch.setattr("entroplab.graphs._walk", counted)
+    return visited
+
+
 @pytest.mark.parametrize("source,limit,k,nodes", [
     ("random-5x5-18-partition.json", 18, 15, 1904),
     ((6, 1), 30, 27, 1037),
@@ -368,15 +394,21 @@ def test_partition_walk_node_counts(monkeypatch, source, limit, k, nodes):
         g = load_graph((Path(__file__).parent / "golden" / "inputs" / source).read_text())
     else:
         g = gen_gnk(*source)
-    visited = []
-
-    def counted(root, children):
-        for node in _walk(root, children):
-            visited.append(node)
-            yield node
-
-    monkeypatch.setattr("entroplab.graphs._walk", counted)
+    visited = _count_walk(monkeypatch)
     assert (min_valid_matching_partition(g, limit), len(visited)) == (k, nodes)
+
+
+@pytest.mark.parametrize("n,k,limit,size,nodes", [
+    (7, 1, 42, 5, 4642),
+    (6, 2, 90, 14, 29635),
+], ids=["gnk-7-1", "gnk-6-2"])
+def test_cover_walk_node_counts(monkeypatch, n, k, limit, size, nodes):
+    """The cover search finds its optimum after visiting exactly this many
+    nodes of `_walk`: a change to its branching order or to a pruning that
+    cuts a node moves the count, and a dependence on hash order makes it
+    differ between runs."""
+    visited = _count_walk(monkeypatch)
+    assert (len(min_biclique_cover(gen_gnk(n, k), limit)), len(visited)) == (size, nodes)
 
 
 def test_corollary_certificate_k22():
@@ -713,6 +745,8 @@ def test_negative_search_limit_is_a_bad_parameter(search):
     with pytest.raises(LabError) as err:
         search(gen_gnk(4, 1), limit=-1)
     assert err.value.code == "BAD_PARAM"
+    # 0 is not negative: an edgeless graph is searched under it
+    assert search(ColoredBipartiteGraph(("x1",), ("y1",), []), limit=0) in ([], 0)
 
 
 def test_bound_preconditions_fire_before_values():
@@ -756,6 +790,12 @@ def test_cover_verification_failures():
     )
     verdict = verify_biclique_cover(g3, bogus)
     assert not verdict.holds and verdict.witness == {"x": "x2", "y": "y2"}
+    # the first biclique covers every edge, so only the side check refuses these
+    whole = Biclique(("x1", "x2"), ("y1", "y2"))
+    for empty in (Biclique((), ("y1",)), Biclique(("x1",), ())):
+        verdict = verify_biclique_cover(g, [whole, empty])
+        assert (verdict.holds, verdict.detail) == (False, "empty side"), empty
+        assert verdict.witness == {"biclique": empty.to_json_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +805,7 @@ def test_cover_verification_failures():
 def test_z_extension_on_g41():
     g = gen_gnk(4, 1)
     cover = min_biclique_cover(g)
-    report = extend_with_cover_index(g, cover)
+    ext, report = extend_with_cover_index(g, cover)
     assert report.split_holds
     assert report.split_slack >= -TOL
     assert report.cover_size == 4
@@ -774,7 +814,8 @@ def test_z_extension_on_g41():
     assert report.index_entropy <= 2.0 + TOL
     assert report.index_entropy >= math.log2(report.size_floor) - TOL
     assert set(report.per_clique_status) == {"PASS"}
-    assert report.distribution.marginal(("A", "X", "Y")) == edge_distribution(g)
+    d = edge_distribution(g)
+    assert ext._table(("A", "X", "Y")) == (d.counts, d.denominator)
 
 
 def test_z_extension_single_clique_cover():
@@ -782,7 +823,7 @@ def test_z_extension_single_clique_cover():
         ("x1", "x2"), ("y1", "y2"),
         [Edge(x, y, "c") for x in ("x1", "x2") for y in ("y1", "y2")],
     )
-    report = extend_with_cover_index(g, [Biclique(("x1", "x2"), ("y1", "y2"))])
+    _, report = extend_with_cover_index(g, [Biclique(("x1", "x2"), ("y1", "y2"))])
     assert report.index_entropy == 0.0
     assert report.split_holds
     assert report.per_clique_status == ("PASS",)
@@ -797,5 +838,5 @@ def test_z_extension_rejects_non_cover():
 
 def test_z_extension_distribution_round_trips():
     g = gen_gnk(4, 1)
-    report = extend_with_cover_index(g, min_biclique_cover(g))
-    assert load_distribution(report.distribution.dumps()) == report.distribution
+    ext, _ = extend_with_cover_index(g, min_biclique_cover(g))
+    assert load_distribution(ext.dumps()) == ext
