@@ -6,11 +6,10 @@ in lowest terms, and caches each marginal table as integer counts over its
 own lowest-terms denominator.  Marginalization and conditioning stay
 exact on those integers, so support predicates and product identities are
 decided by integer cross-multiplication.  ``fractions.Fraction`` appears
-only at the edges: mass strings other than plain ``n/d``, the public
-``atoms`` dict (made on each access, never cached), and the power-sum
-certificates.  Information
-measures are returned in bits (base-2 logarithm, double precision).
-The input rules it shares with ``graphs`` are in ``errors``.
+only at the edges: the public ``atoms`` dict (made on each access, never
+cached) and the texts of refusals.  Information measures are returned in
+bits (base-2 logarithm, double precision).  The input rules it shares with
+``graphs``, the one mass parser among them, are in ``errors``.
 
 The JSON wire form is::
 
@@ -34,12 +33,12 @@ import warnings
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import (LabError, _at_least, _load_object, _mass_text, _rational_text, _strings,
-                     as_fraction)
+from .errors import (LabError, _at_least, _load_object, _mass_text, _rational_text, _ratio,
+                     _strings)
 
 # Canonical role order, used when an extension inserts a new role column
 # into an existing distribution.  A role a distribution lacks reads as the
@@ -50,24 +49,6 @@ MISSING_ROLE_SYMBOL = "*"
 Symbol = str
 Outcome = tuple[Symbol, ...]
 Counts = dict[Outcome, int]
-
-
-def _ratio(value: object) -> tuple[int, int]:
-    # (numerator, denominator) of a mass in lowest terms.  A plain ASCII
-    # "n/d" with d > 0 is split directly; everything else goes through
-    # Fraction, so the accepted strings and the errors are Fraction's.
-    if type(value) is str:
-        num, slash, den = value.partition("/")
-        if slash and num.isdigit() and den.isdigit() and num.isascii() and den.isascii():
-            try:
-                num, den = int(num), int(den)
-            except ValueError:  # past the digit limit: as_fraction refuses it
-                den = 0
-            if den:
-                g = math.gcd(num, den)
-                return num // g, den // g
-    q = as_fraction(value)
-    return q.numerator, q.denominator
 
 
 def _common(nums: Iterable[int], dens: Sequence[int]) -> tuple[list[int], int]:
@@ -92,27 +73,6 @@ def _disjoint(*groups: tuple[str, ...]) -> None:
     for s, t in combinations(groups, 2):
         if set(s) & set(t):
             raise LabError("OVERLAPPING_SETS", f"{s} and {t} overlap")
-
-
-def _inverses(counts: Counts) -> tuple[dict[Outcome, int], int]:
-    """``(L // n for each cell, L)`` with L the lcm of the counts: the
-    reciprocals 1/n of a table's counts as integers over one denominator."""
-    lcm = math.lcm(*counts.values())
-    return {key: lcm // n for key, n in counts.items()}, lcm
-
-
-def log2_fraction(q: Fraction) -> float:
-    """log2 of a positive rational whose float sign agrees with the exact
-    comparison of q against 1 (big numerators and denominators are taken
-    through integer log2 to dodge overflow)."""
-    if q <= 0:
-        raise LabError("BAD_PARAM", f"log2 of non-positive rational {q}")
-    if q == 1:
-        return 0.0
-    bits = math.log2(q.numerator) - math.log2(q.denominator)
-    if q > 1:
-        return max(bits, math.ulp(0.0))
-    return min(bits, -math.ulp(0.0))
 
 
 class JointDistribution:
@@ -356,43 +316,33 @@ class JointDistribution:
     # ------------------------------------------------------------------
     # serialization
 
-    def to_json_dict(self) -> dict:
-        den = self.denominator
-        return {
-            "variables": list(self.variables),
-            "atoms": [
-                {
-                    "values": {v: s for v, s in zip(self.variables, outcome)},
-                    "p": _mass_text(n, den),
-                }
-                for outcome, n in sorted(self.counts.items())
-            ],
-        }
-
     def dumps(self) -> str:
         """Canonical JSON emission, stable byte for byte: the bytes of
-        ``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, written
-        directly."""
+        ``json.dumps(doc, indent=2) + "\\n"`` for the wire form ``doc``,
+        written directly."""
         names = [_quote(v) for v in self.variables]
         if names:
-            variables = "[\n" + ",\n".join(["    " + name for name in names]) + "\n  ]"
-            values = ",\n".join([f"        {name.replace('%', '%%')}: %s" for name in names])
-            values = "{\n" + values + "\n      }"
+            variables = "[\n    " + ",\n    ".join(names) + "\n  ]"
+            values = "{\n        " + ": \0,\n        ".join(names) + ": \0\n      }"
         else:
             variables, values = "[]", "{}"
-        # one %-template per atom row: the quoted symbols, then the mass; each
-        # distinct symbol is quoted once, each run of equal counts formatted once
-        row = '    {\n      "values": ' + values + ',\n      "p": "%s"\n    }'
+        # A row's constant pieces, split where its symbols and mass go (no quoted
+        # name holds a NUL) and led by the ",\n" that ends the row before.  Each
+        # column streams its symbols glued to the piece before them, each quoted
+        # once; the masses sit between the last two pieces, each formatted once,
+        # in row order, so a refusal names the first mass too long to print.
+        pieces = (',\n    {\n      "values": ' + values + ',\n      "p": "\0"\n    }').split("\0")
+        outcomes, counts = zip(*sorted(self.counts.items()))
+        streams = [map({s: piece + _quote(s) for s in set(column)}.__getitem__, column)
+                   for piece, column in zip(pieces, zip(*outcomes))]
         den = self.denominator
-        quoted = {s: _quote(s) for s in set().union(*self.counts)}.__getitem__
-        rows = []
-        last = None
-        for outcome, n in sorted(self.counts.items()):
-            if n != last:
-                last, mass = n, _mass_text(n, den)
-            rows.append(row % (*map(quoted, outcome), mass))
-        atoms = ",\n".join(rows)
-        return '{\n  "variables": ' + variables + ',\n  "atoms": [\n' + atoms + "\n  ]\n}\n"
+        masses = {n: pieces[-2] + _mass_text(n, den) + pieces[-1] for n in dict.fromkeys(counts)}
+        streams.append(map(masses.__getitem__, counts))
+        parts = list(chain.from_iterable(zip(*streams)))
+        # the first row follows the opening of the atoms list, not a row
+        parts[0] = '{\n  "variables": ' + variables + ',\n  "atoms": [\n' + parts[0][2:]
+        parts.append("\n  ]\n}\n")
+        return "".join(parts)
 
     def fingerprint(self) -> str:
         """Short content hash of the canonical emission."""

@@ -78,15 +78,22 @@ class Verdict(NamedTuple):
         return doc
 
 
-def as_fraction(value: object) -> Fraction:
-    """Parse an exact probability from an int, a Fraction, or a string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise LabError("SCHEMA_ERROR", f"probability {value!r} is not a rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+def _ratio(value: object) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of an exact mass given as an
+    int, a Fraction or a string: the one parser of masses, graph weights and
+    ``--delta``.  A plain ASCII "n/d" with d > 0 is split directly; any other
+    string goes through Fraction, so the accepted strings and their values
+    are Fraction's, less those refused here."""
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        if slash and num.isdigit() and den.isdigit() and num.isascii() and den.isascii():
+            try:
+                num, den = int(num), int(den)
+            except ValueError:  # past the digit limit: Fraction refuses it below
+                den = 0
+            if den:
+                g = math.gcd(num, den)
+                return num // g, den // g
         match = _EXPONENT.search(value)
         exponent = match[1].lstrip("0") if match else ""
         if len(exponent) > 4 or int(exponent or 0) > MAX_EXPONENT:
@@ -94,9 +101,16 @@ def as_fraction(value: object) -> Fraction:
         try:
             if "_" in value:  # Fraction takes "_" separators only from Python 3.11 on
                 raise ValueError
-            return Fraction(value)
+            q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise LabError("SCHEMA_ERROR", f"cannot parse probability {value!r}") from exc
+        return q.numerator, q.denominator
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, bool):
+        raise LabError("SCHEMA_ERROR", f"probability {value!r} is not a rational")
+    if isinstance(value, int):
+        return value, 1
     raise LabError("SCHEMA_ERROR", f"probability {value!r} must be a string or an integer")
 
 

@@ -28,9 +28,10 @@ output survives strict schema validation.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from .distributions import JointDistribution, _insert_by_role
-from .errors import LabError, TooLarge, as_fraction
+from .errors import LabError, TooLarge, _ratio
 
 ATOM_BUDGET = 10**6
 SAMPLER_ATOM_BUDGET = 10**5
@@ -139,7 +140,7 @@ def gen_field_lines(k_exp: int, delta) -> JointDistribution:
         )
     if k_exp not in _IRREDUCIBLE:
         raise LabError("BAD_PARAM", f"no reduction polynomial tabulated for exponent {k_exp}")
-    delta = as_fraction(delta)
+    delta = Fraction(*_ratio(delta))
     if abs(delta) >= 1:
         raise LabError("BAD_PARAM", f"coupling strength must satisfy |delta| < 1, got {delta}")
     q = 1 << k_exp

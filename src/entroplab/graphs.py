@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import (TOLERANCE, LabError, PreconditionFailed, TooLarge, Verdict, _at_least,
-                     _load_object, _mass_text, _rational_text, _record_json, _strings, as_fraction)
+                     _load_object, _mass_text, _rational_text, _ratio, _record_json, _strings)
 
 PROPERTY_STAR = "property-star"
 PROPERTY_DOUBLESTAR = "property-doublestar"
@@ -166,7 +166,7 @@ def load_graph(doc) -> ColoredBipartiteGraph:
         if extra:
             raise LabError("SCHEMA_ERROR", f"unknown edge keys {sorted(extra)}")
         x, y, color = _strings([row["x"], row["y"], row["color"]], "edge x, y and color")
-        weight = as_fraction(row["w"]) if "w" in row else None
+        weight = Fraction(*_ratio(row["w"])) if "w" in row else None
         edges.append(Edge(x, y, color, weight))
     return ColoredBipartiteGraph(
         _strings(doc["left"], "'left'"), _strings(doc["right"], "'right'"), edges

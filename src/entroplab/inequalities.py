@@ -31,6 +31,7 @@ missing B column reads as a constant variable throughout (see
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,8 +41,29 @@ from .conditions import (
     check_support_saturation,
     check_unique_common_value,
 )
-from .distributions import JointDistribution, _inverses, log2_fraction
+from .distributions import Counts, JointDistribution, Outcome
 from .errors import FAIL, NOT_APPLICABLE, PASS, LabError, Verdict, _at_least, _record_json
+
+
+def _inverses(counts: Counts) -> tuple[dict[Outcome, int], int]:
+    """``(L // n for each cell, L)`` with L the lcm of the counts: the
+    reciprocals 1/n of a table's counts as integers over one denominator."""
+    lcm = math.lcm(*counts.values())
+    return {key: lcm // n for key, n in counts.items()}, lcm
+
+
+def log2_fraction(q: Fraction) -> float:
+    """log2 of a positive rational whose float sign agrees with the exact
+    comparison of q against 1 (big numerators and denominators are taken
+    through integer log2 to dodge overflow)."""
+    if q <= 0:
+        raise LabError("BAD_PARAM", f"log2 of non-positive rational {q}")
+    if q == 1:
+        return 0.0
+    bits = math.log2(q.numerator) - math.log2(q.denominator)
+    if q > 1:
+        return max(bits, math.ulp(0.0))
+    return min(bits, -math.ulp(0.0))
 
 
 class GapReport(NamedTuple):

@@ -1,5 +1,5 @@
-"""Shared distribution builders, a closed-form gap and a partition
-enumerator used across the test modules.
+"""Shared distribution builders, a closed-form gap, a reference emitter and
+a partition enumerator used across the test modules.
 
 Builders here construct atoms by hand, independently of the generators in
 the package, so expected values in the tests come from closed forms rather
@@ -7,8 +7,10 @@ than from the code under test.  Valid matching partitions come from brute
 force, independently of the partition search.
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -57,6 +59,23 @@ def disjoint_sets_split_gap(n, k):
     """Closed form of the entropy-split gap of gen_disjoint_sets(n, k),
     log2 C(n,2k) - 2 log2 C(n-k,k), with no enumeration."""
     return math.log2(math.comb(n, 2 * k)) - 2 * math.log2(math.comb(n - k, k))
+
+
+# The golden distribution inputs that load: not-normalised.json is refused.
+GOLDEN_DISTRIBUTIONS = sorted(
+    path for path in (Path(__file__).parent / "golden" / "inputs").glob("*.json")
+    if "variables" in json.loads(path.read_text(encoding="utf-8"))
+    and path.stem != "not-normalised"
+)
+
+
+def reference_dumps(d):
+    """The canonical emission of `d` built as the wire form's dict and printed
+    by `json.dumps`: variables in declared order, atoms sorted by their value
+    tuples, each mass as `str` of its Fraction."""
+    atoms = [{"values": dict(zip(d.variables, outcome)), "p": str(p)}
+             for outcome, p in sorted(d.atoms.items())]
+    return json.dumps({"variables": list(d.variables), "atoms": atoms}, indent=2) + "\n"
 
 
 def random_support_distribution(rng, variables=("A", "B", "X", "Y"), max_size=3):

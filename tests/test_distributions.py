@@ -6,21 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroplab.distributions import (
-    JointDistribution,
-    info_report,
-    load_distribution,
-    log2_fraction,
-)
-from entroplab.errors import LabError
+from entroplab.distributions import JointDistribution, info_report, load_distribution
+from entroplab.errors import LabError, _ratio
 from entroplab.families import extend_with_random_B, sample_random_distribution
+from entroplab.inequalities import log2_fraction
 
 from conftest import (
+    GOLDEN_DISTRIBUTIONS,
     copied_bit,
     independent_bits,
     markov_fork,
     pairs_triple,
     random_support_distribution,
+    reference_dumps,
     xor_triple,
 )
 
@@ -155,14 +153,20 @@ MASS_STRINGS = [
 
 @pytest.mark.parametrize("text", MASS_STRINGS)
 def test_mass_strings_parse_exactly_as_fraction_does(text):
-    """Plain n/d strings skip Fraction on load; the accepted strings, their
-    values and the error codes must still be Fraction's on this interpreter,
-    except that "_" digit separators, which Fraction takes only from Python
-    3.11 on, are refused on every version."""
+    """Plain n/d strings skip Fraction in `_ratio`; the accepted strings,
+    their values and the error codes must still be Fraction's on this
+    interpreter, except that "_" digit separators, which Fraction takes only
+    from Python 3.11 on, are refused on every version."""
     try:
         expected = None if "_" in text else Fraction(text)
     except (ValueError, ZeroDivisionError):
         expected = None
+    if expected is None:
+        with pytest.raises(LabError) as err:
+            _ratio(text)
+        assert err.value.code == "SCHEMA_ERROR"
+    else:
+        assert _ratio(text) == (expected.numerator, expected.denominator)
     rest = Fraction(1, 2) if expected is None else 1 - expected
     doc = {
         "variables": ["A"],
@@ -192,13 +196,17 @@ def test_mass_strings_parse_exactly_as_fraction_does(text):
         extend_with_random_B(
             sample_random_distribution(("A", "X", "Y"), (3, 2, 2), seed=5), 3, seed=6
         ),
+        JointDistribution(("%", "%%s", "100%(x)s"), {("a", "b", "c"): 1}, 1),
+        JointDistribution(("A", "X"), {("\u00e9", "\u2603"): 1, ("\u03b1", "\U0001d11e"): 1}, 2),
+        JointDistribution(("A", "X"), {("a", "0"): 3, ("b", "1"): 0}, 3),
+        *(load_distribution(path.read_text(encoding="utf-8")) for path in GOLDEN_DISTRIBUTIONS),
     ],
-    ids=["no-variables", "escaped-symbols", "large-denominators"],
+    ids=["no-variables", "escaped-symbols", "large-denominators", "percent-names",
+         "non-ascii-symbols", "denominator-one",
+         *(f"golden-{path.stem}" for path in GOLDEN_DISTRIBUTIONS)],
 )
 def test_emission_has_the_bytes_of_json_dumps(d):
-    assert d.dumps() == json.dumps(d.to_json_dict(), indent=2) + "\n"
-    masses = [row["p"] for row in d.to_json_dict()["atoms"]]
-    assert masses == [str(d.atoms[outcome]) for outcome in sorted(d.atoms)]
+    assert d.dumps() == reference_dumps(d)
     assert load_distribution(d.dumps()) == d
 
 
