@@ -306,7 +306,7 @@ def _cmd_graph_gen(args) -> CommandOutcome:
 
 
 def _cmd_graph(args) -> CommandOutcome:
-    from .graphs import (_min_degrees, bcc_color_bound, bcc_dual_entropy_bound,
+    from .graphs import (_product_bound, bcc_color_bound, bcc_dual_entropy_bound,
                          bcc_entropy_bound, corollary_bound_check, extend_with_cover_index,
                          load_cover, load_graph, load_partition, min_biclique_cover,
                          min_valid_matching_partition, verify_biclique_cover,
@@ -315,20 +315,16 @@ def _cmd_graph(args) -> CommandOutcome:
     action = args.graph_command
     if action == "verify-partition":
         partition = load_partition(_read(args.partition))
-        report = verify_matching_partition(g, partition)
-        doc = {"partition": report.to_json_dict(), "corollary": None}
-        if report.valid:
+        verdict = verify_matching_partition(g, partition)
+        bound = _product_bound(g, len(partition))
+        report = {"valid": verdict.holds, "K": bound["K"], "L": bound["L"], "R": bound["R"],
+                  "witness": verdict.witness, "detail": verdict.detail}
+        doc = {"partition": report, "corollary": None}
+        if verdict.holds:
             doc["corollary"] = corollary_bound_check(g, partition).to_json_dict()
-        return _document(doc, _exit_code(holds=report.valid, strict=args.strict))
+        return _document(doc, _exit_code(holds=verdict.holds, strict=args.strict))
     if action == "min-partition":
-        k = min_valid_matching_partition(g, args.limit)
-        left_min, right_min = _min_degrees(g)
-        doc = {
-            "K": k,
-            "L": left_min,
-            "R": right_min,
-            "product_bound_holds": k >= left_min * right_min,
-        }
+        doc = _product_bound(g, min_valid_matching_partition(g, args.limit))
         return _document(doc, _exit_code(failed=not doc["product_bound_holds"]))
     if action == "verify-cover":
         cover = load_cover(_read(args.cover))

@@ -136,14 +136,6 @@ class ColoredBipartiteGraph:
             classes.setdefault(e.color, []).append(e)
         return classes
 
-    def degrees(self) -> tuple[dict[str, int], dict[str, int]]:
-        ld = {x: 0 for x in self.left}
-        rd = {y: 0 for y in self.right}
-        for e in self.edges:
-            ld[e.x] += 1
-            rd[e.y] += 1
-        return ld, rd
-
     def to_json_dict(self) -> dict:
         return {
             "left": list(self.left),
@@ -255,60 +247,48 @@ def edge_distribution(g: ColoredBipartiteGraph) -> JointDistribution:
 # matching partitions
 
 
-class MatchingPartitionReport(NamedTuple):
-    """Validity of a matching partition: K parts, L and R the least left
-    and right degrees."""
-
-    valid: bool
-    K: int
-    L: int
-    R: int
-    witness: Optional[dict] = None
-    detail: str = ""
-
-    to_json_dict = _record_json
+def _product_bound(g: ColoredBipartiteGraph, k: int) -> dict:
+    """K = k parts, L and R the least left and right degrees, and whether
+    K >= L*R."""
+    left, right = dict.fromkeys(g.left, 0), dict.fromkeys(g.right, 0)
+    for e in g.edges:
+        left[e.x] += 1
+        right[e.y] += 1
+    left_min, right_min = min(left.values(), default=0), min(right.values(), default=0)
+    return {"K": k, "L": left_min, "R": right_min, "product_bound_holds": k >= left_min * right_min}
 
 
-def _min_degrees(g: ColoredBipartiteGraph) -> tuple[int, int]:
-    ld, rd = g.degrees()
-    return (min(ld.values()) if ld else 0, min(rd.values()) if rd else 0)
-
-
-def verify_matching_partition(g: ColoredBipartiteGraph, partition) -> MatchingPartitionReport:
-    """Check that the parts partition the edge set, that each part is a
-    matching, and that no two parts both involve a common (x, y) pair.
+def verify_matching_partition(g: ColoredBipartiteGraph, partition) -> Verdict:
+    """The ``matching-partition`` verdict: the parts partition the edge set,
+    each part is a matching, and no two parts both involve a common (x, y) pair.
 
     "Involves (x, y)" means the part has an edge at x and an edge at y
     (possibly the same edge); the pair itself need not be an edge.
     """
     parts = [list(part) for part in partition]
-    left_min, right_min = _min_degrees(g)
-    k = len(parts)
-
-    def report(valid, witness=None, detail=""):
-        return MatchingPartitionReport(valid, k, left_min, right_min, witness, detail)
-
     seen = {}
     for i, part in enumerate(parts):
         for x, y in part:
             if not g.has_edge(x, y):
                 raise LabError("NOT_A_PARTITION", f"({x!r}, {y!r}) is not an edge of the graph")
             if seen.get((x, y)) == i:
-                return report(False, {"part": i, "x": x, "y": y}, "edge listed twice in one part")
+                return Verdict("matching-partition", {"part": i, "x": x, "y": y},
+                               "edge listed twice in one part")
             if (x, y) in seen:
-                return report(False, {"x": x, "y": y}, "edge listed in two parts")
+                return Verdict("matching-partition", {"x": x, "y": y}, "edge listed in two parts")
             seen[(x, y)] = i
     if len(seen) != len(g.edges):
         missing = sorted(e.pair() for e in g.edges if e.pair() not in seen)
         x, y = missing[0]
-        return report(False, {"x": x, "y": y}, "edge missing from the partition")
+        return Verdict("matching-partition", {"x": x, "y": y}, "edge missing from the partition")
     for i, part in enumerate(parts):
         if not part:
-            return report(False, {"part": i}, "part is empty")
+            return Verdict("matching-partition", {"part": i}, "part is empty")
         lefts, rights = set(), set()
         for x, y in part:
             if x in lefts or y in rights:
-                return report(False, {"part": i, "x": x, "y": y}, "part is not a matching")
+                return Verdict("matching-partition", {"part": i, "x": x, "y": y},
+                               "part is not a matching")
             lefts.add(x)
             rights.add(y)
     owner = {}
@@ -318,13 +298,13 @@ def verify_matching_partition(g: ColoredBipartiteGraph, partition) -> MatchingPa
         for x in sorted(lefts):
             for y in sorted(rights):
                 if (x, y) in owner and owner[(x, y)] != i:
-                    return report(
-                        False,
+                    return Verdict(
+                        "matching-partition",
                         {"x": x, "y": y, "parts": sorted((owner[(x, y)], i))},
                         "two parts involve the same pair",
                     )
                 owner[(x, y)] = i
-    return report(True)
+    return Verdict("matching-partition")
 
 
 class CorollaryCertificate(NamedTuple):
@@ -332,9 +312,9 @@ class CorollaryCertificate(NamedTuple):
     L: int
     R: int
     product_bound_holds: bool
-    entropy_floor_holds: Optional[bool]
-    theorem1_status: Optional[str]
-    measures: Optional[dict]
+    entropy_floor_holds: Optional[bool] = None
+    theorem1_status: Optional[str] = None
+    measures: Optional[dict] = None
 
     to_json_dict = _record_json
 
@@ -347,14 +327,10 @@ def corollary_bound_check(g: ColoredBipartiteGraph, partition) -> CorollaryCerti
     split H(A|X) + H(A|Y) <= H(A) holds, and with H(A|X) >= log2 L,
     H(A|Y) >= log2 R, H(A) <= log2 K the product bound follows.
     """
-    result = verify_matching_partition(g, partition)
-    if not result.valid:
-        raise PreconditionFailed(f"not a valid matching partition: {result.detail}",
-                                 witness=result.witness)
-    k, left_min, right_min = result.K, result.L, result.R
-    product_holds = k >= left_min * right_min
+    verify_matching_partition(g, partition).require()
+    bound = _product_bound(g, len(partition))
     if not g.edges:
-        return CorollaryCertificate(k, left_min, right_min, product_holds, None, None, None)
+        return CorollaryCertificate(**bound)
     part_of = {}
     for i, part in enumerate(partition):
         for pair in part:
@@ -371,13 +347,14 @@ def corollary_bound_check(g: ColoredBipartiteGraph, partition) -> CorollaryCerti
         "H(A|X)": d.cond_entropy("A", "X"),
         "H(A|Y)": d.cond_entropy("A", "Y"),
     }
+    left_min, right_min = bound["L"], bound["R"]
     floor = (
         (left_min == 0 or _at_least(measures["H(A|X)"], math.log2(left_min)))
         and (right_min == 0 or _at_least(measures["H(A|Y)"], math.log2(right_min)))
-        and _at_least(math.log2(k), measures["H(A)"])
+        and _at_least(math.log2(bound["K"]), measures["H(A)"])
     )
-    return CorollaryCertificate(k, left_min, right_min, product_holds, floor,
-                                cert.status, measures)
+    return CorollaryCertificate(**bound, entropy_floor_holds=floor,
+                                theorem1_status=cert.status, measures=measures)
 
 
 def _search_cap(g: ColoredBipartiteGraph, limit, default: int, search: str) -> None:

@@ -130,8 +130,16 @@ def valid_matching_partitions(g):
     into matchings that `verify_matching_partition` accepts, by brute force
     and independently of the partition search."""
     for parts in _matching_labellings([e.pair() for e in g.edges]):
-        if verify_matching_partition(g, parts).valid:
+        if verify_matching_partition(g, parts).holds:
             yield parts
+
+
+def min_degrees(g):
+    """The least left and right degrees of `g` (0 on an empty side), each
+    vertex's degree counted over `g.edges`: the paper's L and R, computed
+    independently of the code under test."""
+    return (min((sum(e.x == x for e in g.edges) for x in g.left), default=0),
+            min((sum(e.y == y for e in g.edges) for y in g.right), default=0))
 
 
 @st.composite

@@ -49,7 +49,7 @@ from entroplab.inequalities import (
     verify_theorem2,
 )
 
-from conftest import disjoint_sets_split_gap, valid_matching_partitions
+from conftest import disjoint_sets_split_gap, min_degrees, valid_matching_partitions
 
 TOL = 1e-9
 
@@ -173,9 +173,9 @@ def test_criterion_07_matching_partition_product_bound():
         for _ in range(50):
             g = _random_graph(rng)
             for partition in valid_matching_partitions(g):
-                report = verify_matching_partition(g, partition)
-                assert report.valid
-                assert report.K >= report.L * report.R, (
+                assert verify_matching_partition(g, partition).holds
+                left_min, right_min = min_degrees(g)
+                assert len(partition) >= left_min * right_min, (
                     g.to_json_dict(),
                     partition,
                 )

@@ -32,7 +32,7 @@ def invoke_json(*argv):
 def dist_file(tmp_path):
     def write(d, name="d.json"):
         path = tmp_path / name
-        path.write_text(d.dumps())
+        path.write_text(d.dumps(), encoding="utf-8")
         return str(path)
 
     return write
@@ -42,7 +42,7 @@ def dist_file(tmp_path):
 def graph_file(tmp_path):
     def write(g, name="g.json"):
         path = tmp_path / name
-        path.write_text(g.dumps())
+        path.write_text(g.dumps(), encoding="utf-8")
         return str(path)
 
     return write
@@ -110,7 +110,7 @@ def test_catalog_out_file_matches_stdout(tmp_path):
         "catalog", "gen", "--family", "field-lines", "--q-exp", "2", "--delta", "1/2",
         "--out", str(path),
     )
-    assert path.read_text() == outcome.text
+    assert path.read_text(encoding="utf-8") == outcome.text
 
 
 def test_catalog_b_extension_adds_column():
@@ -315,7 +315,7 @@ def test_exit_codes_of_failed_and_strict_statements(tmp_path, monkeypatch, argv,
     files = {"g": g.dumps(), "c": dump_cover(cover), "half": dump_cover(cover[:1]),
              "pairs": gen_distinct_pairs(3).dumps()}
     for name, content in files.items():
-        (tmp_path / name).write_text(content)
+        (tmp_path / name).write_text(content, encoding="utf-8")
     if patch is not None:
         monkeypatch.setattr(*patch)
     outcome = invoke(*(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
@@ -381,7 +381,7 @@ def test_graph_partition_workflow(tmp_path, graph_file):
     path = graph_file(g)
     singletons = {"matchings": [[[e.x, e.y]] for e in g.edges]}
     ppath = tmp_path / "p.json"
-    ppath.write_text(json.dumps(singletons))
+    ppath.write_text(json.dumps(singletons), encoding="utf-8")
     code, doc = invoke_json("graph", "verify-partition", "--graph", path, "--partition", str(ppath))
     assert code == 0
     assert doc["partition"]["valid"] is True
@@ -394,7 +394,7 @@ def test_graph_invalid_partition_strict(tmp_path, graph_file):
     path = graph_file(g)
     doubled = {"matchings": [[[e.x, e.y]] for e in g.edges] + [[[g.edges[0].x, g.edges[0].y]]]}
     ppath = tmp_path / "p.json"
-    ppath.write_text(json.dumps(doubled))
+    ppath.write_text(json.dumps(doubled), encoding="utf-8")
     code, doc = invoke_json("graph", "verify-partition", "--graph", path, "--partition", str(ppath))
     assert code == 0
     assert doc["partition"]["valid"] is False
@@ -426,7 +426,7 @@ def test_graph_cover_workflow(tmp_path, graph_file):
     path = graph_file(gen_gnk(4, 1))
     code, doc = invoke_json("graph", "bcc", "--graph", path, "--method", "exact")
     cpath = tmp_path / "c.json"
-    cpath.write_text(json.dumps({"bicliques": doc["exact"]["cover"]}))
+    cpath.write_text(json.dumps({"bicliques": doc["exact"]["cover"]}), encoding="utf-8")
     code, doc = invoke_json("graph", "verify-cover", "--graph", path, "--cover", str(cpath))
     assert code == 0 and doc["holds"] is True
     code, doc = invoke_json("graph", "z-extend", "--graph", path, "--cover", str(cpath))
@@ -439,7 +439,8 @@ def test_graph_cover_workflow(tmp_path, graph_file):
 def test_graph_z_extend_rejects_non_cover(tmp_path, graph_file):
     path = graph_file(gen_gnk(4, 1))
     cpath = tmp_path / "c.json"
-    cpath.write_text(json.dumps({"bicliques": [{"left": ["{1}"], "right": ["{2}"]}]}))
+    cpath.write_text(json.dumps({"bicliques": [{"left": ["{1}"], "right": ["{2}"]}]}),
+                     encoding="utf-8")
     outcome = invoke("graph", "z-extend", "--graph", path, "--cover", str(cpath))
     assert outcome.exit_code == 2
     assert json.loads(outcome.text)["error"]["code"] == "NOT_A_COVER"
@@ -454,7 +455,7 @@ def test_graph_bcc_monochrome_bound_not_applicable(tmp_path):
         ],
     }
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(g))
+    path.write_text(json.dumps(g), encoding="utf-8")
     code, doc = invoke_json("graph", "bcc", "--graph", str(path), "--method", "color,exact")
     assert code == 0
     assert doc["color"]["applicable"] is False
@@ -550,7 +551,7 @@ def test_oversized_generators_are_refused_at_once(command, n, k):
 
 def test_malformed_file_exits_two(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     assert invoke("info", "report", "--dist", str(path)).exit_code == 2
 
 
@@ -684,7 +685,7 @@ def test_malformed_input_and_io_errors_exit_two(tmp_path, monkeypatch, argv, fil
         if isinstance(content, bytes):
             path.write_bytes(content)
         else:
-            path.write_text(content)
+            path.write_text(content, encoding="utf-8")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     outcome = invoke(*(str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv))
@@ -704,7 +705,7 @@ def test_partition_search_past_the_recursion_limit_finishes(graph_file):
     code, doc = invoke_json(*argv)
     assert (code, doc["K"]) == (0, 1)
     result = subprocess.run([sys.executable, "-m", "entroplab", *argv],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, encoding="utf-8")
     assert (result.returncode, result.stderr) == (0, "")
     assert json.loads(result.stdout)["K"] == 1
 
@@ -738,7 +739,7 @@ def test_no_function_in_the_package_calls_itself():
     input can reach the recursion limit and `cli.run` needs no net for it."""
     calls = {}
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        for name, _ in _self_calls(ast.parse(path.read_text())):
+        for name, _ in _self_calls(ast.parse(path.read_text(encoding="utf-8"))):
             calls[f"{path.stem}.{name}"] = calls.get(f"{path.stem}.{name}", 0) + 1
     assert calls == {}
     assert _self_calls(ast.parse("def walk(n):\n    walk(n - 1)\n"
@@ -771,6 +772,37 @@ def test_no_module_in_the_package_imports_a_name_it_never_uses():
 
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _precondition_raises(node, scope=""):
+    """(scope, line) of each ``raise PreconditionFailed`` under ``node``, the
+    scope being the dotted names of the classes and functions around it."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _DEFINITIONS):
+            found += _precondition_raises(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        exc = child.exc if isinstance(child, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        if getattr(exc, "id", getattr(exc, "attr", None)) == "PreconditionFailed":
+            found.append((scope, child.lineno))
+        found += _precondition_raises(child, scope)
+    return found
+
+
+def test_only_verdict_require_raises_precondition_failed():
+    """A failed precondition is a `Verdict` with its witness, and
+    `Verdict.require` is the one place that raises it."""
+    raises = {}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for scope, line in _precondition_raises(ast.parse(path.read_text(encoding="utf-8"))):
+            raises[f"{path.stem}.{scope}"] = line
+    assert sorted(raises) == ["errors.Verdict.require"], raises
+    assert _precondition_raises(ast.parse(
+        "def f():\n    raise PreconditionFailed('x')\n"
+        "class C:\n    def g(self):\n"
+        "        def h():\n            raise errors.PreconditionFailed\n"
+        "        raise LabError('x')\n")) == [("f", 2), ("C.g.h", 6)]
 
 
 def _unreached(trees):
@@ -809,7 +841,8 @@ def test_exact_cover_ignores_hash_seed(graph_file):
         subprocess.run(
             [sys.executable, "-m", "entroplab", "graph", "bcc", "--graph", path,
              "--method", "exact", "--limit", "30"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, encoding="utf-8",
+            env=dict(os.environ, PYTHONHASHSEED=seed),
         )
         for seed in ("1", "2")
     ]
@@ -824,7 +857,8 @@ STARTUP_FORBIDDEN = ("dataclasses", "inspect", "hashlib")
 
 
 def _loaded_in_child(code):
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         encoding="utf-8", check=True)
     return set(json.loads(out.stdout.splitlines()[-1]))
 
 
@@ -904,11 +938,11 @@ def _run_unwritable(argv, stdout, stderr):
         pytest.skip("no /dev/full on this system")
     closing = [fd for fd, how in ((1, stdout), (2, stderr)) if how == "closed"]
     sinks = [subprocess.PIPE if how == "pipe"
-             else open("/dev/full" if how == "full" else os.devnull, "w")
+             else open("/dev/full" if how == "full" else os.devnull, "w", encoding="utf-8")
              for how in (stdout, stderr)]
     try:
         return subprocess.run([sys.executable, "-m", "entroplab", *argv],
-                              stdout=sinks[0], stderr=sinks[1], text=True,
+                              stdout=sinks[0], stderr=sinks[1], text=True, encoding="utf-8",
                               preexec_fn=lambda: [os.close(fd) for fd in closing])
     finally:
         for sink in sinks:
@@ -946,7 +980,8 @@ def test_help_is_argparse_text_written_like_any_output(monkeypatch):
     expected = cli._build_parser().format_help()
     assert invoke("--help") == (0, expected)
     result = subprocess.run([sys.executable, "-m", "entroplab", "--help"],
-                            capture_output=True, text=True, env=dict(os.environ, COLUMNS="80"))
+                            capture_output=True, text=True, encoding="utf-8",
+                            env=dict(os.environ, COLUMNS="80"))
     assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
     result = _run_unwritable(["--help"], "full", "pipe")
     assert result.returncode == 2, result.stderr
@@ -980,12 +1015,12 @@ def test_module_entry_point(tmp_path):
     first = subprocess.run(
         [sys.executable, "-m", "entroplab", "catalog", "gen", "--family",
          "random-cond2c", "--sizes", "2,2,2,2", "--seed", "31"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     second = subprocess.run(
         [sys.executable, "-m", "entroplab", "catalog", "gen", "--family",
          "random-cond2c", "--sizes", "2,2,2,2", "--seed", "31"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     assert first.returncode == 0
     assert first.stdout == second.stdout

@@ -303,7 +303,8 @@ def test_every_check_groups_each_table_once():
 def test_failing_functional_check_reads_the_table_it_counted():
     """A failing `check_functional` takes its witness from the (A, X, Y) table
     it counted: no second table over {A, X, Y} is built."""
-    d = load_distribution((Path(__file__).parent / "golden" / "inputs" / "random-ax.json").read_text())
+    path = Path(__file__).parent / "golden" / "inputs" / "random-ax.json"
+    d = load_distribution(path.read_text(encoding="utf-8"))
     verdict = check_functional(d)
     assert verdict.witness == {"X": "0", "Y": "*", "a": "0", "a2": "1"}
     assert [names for names in d._tables if set(names) == {"A", "X", "Y"}] == [("A", "X", "Y")]
@@ -315,7 +316,7 @@ def test_info_report_and_lemma2_terms_build_one_table_per_variable_set():
     the same variables: H(X,A) reads the (A, X) table's entropy, bit for
     bit what an (X, A) table gives on a fresh copy."""
     path = Path(__file__).parent / "golden" / "inputs" / "field-lines-4-b2.json"
-    d = load_distribution(path.read_text())
+    d = load_distribution(path.read_text(encoding="utf-8"))
     info_report(d)
     for term in (ingleton_gap, reduced_ingleton_gap, entropy_split_gap, gamma_term, delta_term):
         term(d)

@@ -126,7 +126,8 @@ def conditioned_samples():
 
 RECORDED = Path(__file__).parent / "golden" / "inputs" / "field-lines-4-b2.json"
 
-SAMPLES = [*extended_samples(), *conditioned_samples(), load_distribution(RECORDED.read_text())]
+SAMPLES = [*extended_samples(), *conditioned_samples(),
+           load_distribution(RECORDED.read_text(encoding="utf-8"))]
 
 
 def test_samples_reach_large_denominators_and_every_verdict():

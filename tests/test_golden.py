@@ -21,7 +21,7 @@ import pytest
 from entroplab.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = json.loads((GOLDEN / "cases.json").read_text())
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 # Cases replayed in a fresh interpreter too: the entry point runs with the
 # cyclic collector off and freezes the heap before exit, which no in-process
@@ -46,7 +46,7 @@ def test_golden(name):
     case = CASES[name]
     outcome = _replay(case["argv"])
     assert outcome.exit_code == case["exit_code"]
-    assert outcome.text == (GOLDEN / f"{name}.out").read_text()
+    assert outcome.text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", ENTRY_POINT_CASES)
@@ -62,6 +62,6 @@ if __name__ == "__main__":
     for name, case in CASES.items():
         outcome = _replay(case["argv"])
         case["exit_code"] = outcome.exit_code
-        (GOLDEN / f"{name}.out").write_text(outcome.text)
+        (GOLDEN / f"{name}.out").write_text(outcome.text, encoding="utf-8")
     lines = [f"  {json.dumps(name)}: {json.dumps(case)}" for name, case in CASES.items()]
-    (GOLDEN / "cases.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    (GOLDEN / "cases.json").write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")

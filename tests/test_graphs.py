@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroplab.conditions import check_unique_common_value
-from entroplab.distributions import load_distribution
-from entroplab.errors import LabError, PreconditionFailed, TooLarge
+from entroplab.distributions import JointDistribution, load_distribution
+from entroplab.errors import LabError, PreconditionFailed, TooLarge, Verdict
 from entroplab.families import gen_disjoint_sets
 from entroplab.graphs import (
     Biclique,
@@ -37,9 +37,10 @@ from entroplab.graphs import (
     verify_biclique_cover,
     verify_matching_partition,
 )
-from entroplab.graphs import _cover_masks, _packing_prunes, _root_lower_bound, _walk
+from entroplab.graphs import (_cover_masks, _packing_prunes, _product_bound, _root_lower_bound,
+                              _walk)
 
-from conftest import valid_matching_partitions
+from conftest import min_degrees, valid_matching_partitions
 
 TOL = 1e-9
 
@@ -109,7 +110,7 @@ def test_edges_from_plain_tuples_and_immutable_records():
     g = ColoredBipartiteGraph(("x1",), ("y1", "y2"), [("x1", "y1", "a"), ("x1", "y2", "b", None)])
     assert g.edges == (Edge("x1", "y1", "a"), Edge("x1", "y2", "b"))
     records = ((g.edges[0], "color"), (maximal_bicliques(g)[0], "left"),
-               (bcc_color_bound(g), "value"), (verify_matching_partition(g, []), "valid"))
+               (bcc_color_bound(g), "value"), (verify_matching_partition(g, []), "witness"))
     for record, name in records:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -223,9 +224,9 @@ def test_edge_distribution_requires_edges():
 def test_singletons_are_always_valid():
     g = k22()
     singletons = [[e.pair()] for e in g.edges]
-    report = verify_matching_partition(g, singletons)
-    assert report.valid
-    assert (report.K, report.L, report.R) == (4, 2, 2)
+    assert verify_matching_partition(g, singletons) == Verdict("matching-partition")
+    assert _product_bound(g, len(singletons)) == {"K": 4, "L": 2, "R": 2,
+                                                  "product_bound_holds": True}
 
 
 def test_two_perfect_matchings_are_invalid():
@@ -235,7 +236,7 @@ def test_two_perfect_matchings_are_invalid():
         [("x1", "y2"), ("x2", "y1")],
     ]
     report = verify_matching_partition(g, parts)
-    assert not report.valid
+    assert not report.holds
     assert report.witness == {"x": "x1", "y": "y1", "parts": [0, 1]}
 
 
@@ -248,23 +249,22 @@ def test_partition_failure_modes():
     assert verify_matching_partition(g, dup).detail == "edge listed in two parts"
     one = ColoredBipartiteGraph(("x",), ("y",), [Edge("x", "y", "a")])
     twice = load_partition({"matchings": [[["x", "y"], ["x", "y"]]]})
-    report = verify_matching_partition(one, twice)
-    assert (report.valid, report.K, report.witness, report.detail) == (
-        False, 1, {"part": 0, "x": "x", "y": "y"}, "edge listed twice in one part")
+    assert verify_matching_partition(one, twice) == Verdict(
+        "matching-partition", {"part": 0, "x": "x", "y": "y"}, "edge listed twice in one part")
     missing = [[("x1", "y1")]]
     assert verify_matching_partition(g, missing).detail == "edge missing from the partition"
     lopsided = [[("x1", "y1"), ("x1", "y2")], [("x2", "y1")], [("x2", "y2")]]
     assert verify_matching_partition(g, lopsided).detail == "part is not a matching"
     g31 = gen_gnk(3, 1)
     padded = [[e.pair()] for e in g31.edges] + [[], []]
-    report = verify_matching_partition(g31, padded)
-    assert (report.valid, report.witness, report.detail) == (False, {"part": 6}, "part is empty")
+    assert verify_matching_partition(g31, padded) == Verdict(
+        "matching-partition", {"part": 6}, "part is empty")
 
 
 def test_empty_graph_empty_partition():
     g = ColoredBipartiteGraph((), (), [])
-    report = verify_matching_partition(g, [])
-    assert report.valid and report.K == 0
+    assert verify_matching_partition(g, []).holds
+    assert _product_bound(g, 0) == {"K": 0, "L": 0, "R": 0, "product_bound_holds": True}
 
 
 def test_min_partition_k22_is_product():
@@ -391,7 +391,8 @@ def test_partition_walk_node_counts(monkeypatch, source, limit, k, nodes):
     `_walk`: a change to its node order, its clash scan or its cap rule moves
     the count, and a dependence on hash order makes it differ between runs."""
     if isinstance(source, str):
-        g = load_graph((Path(__file__).parent / "golden" / "inputs" / source).read_text())
+        path = Path(__file__).parent / "golden" / "inputs" / source
+        g = load_graph(path.read_text(encoding="utf-8"))
     else:
         g = gen_gnk(*source)
     visited = _count_walk(monkeypatch)
@@ -422,19 +423,39 @@ def test_corollary_certificate_k22():
 
 def test_corollary_rejects_invalid_partition():
     g = k22()
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed) as err:
         corollary_bound_check(g, [[("x1", "y1"), ("x2", "y2")], [("x1", "y2"), ("x2", "y1")]])
+    assert err.value.code == "PRECONDITION_FAILED"
+    assert err.value.witness == {"x": "x1", "y": "y1", "parts": [0, 1]}
+    assert str(err.value) == "matching-partition fails: two parts involve the same pair"
+
+
+@pytest.mark.parametrize("method, args, fault", [
+    ("cond_entropy", ("A", "X"), 0.5),  # H(A|X) below log2 L = 1
+    ("cond_entropy", ("A", "Y"), 0.5),  # H(A|Y) below log2 R = 1
+    ("entropy", ("A",), 2.5),           # H(A) above log2 K = 2
+])
+def test_corollary_floor_fails_when_one_comparison_fails(monkeypatch, method, args, fault):
+    """On K_{2,2} in singletons every link of the entropy floor is tight: one
+    faulted measure, the other two still true, makes the floor false."""
+    g = k22()
+    singletons = [[e.pair()] for e in g.edges]
+    assert corollary_bound_check(g, singletons).entropy_floor_holds is True
+    original = getattr(JointDistribution, method)
+    monkeypatch.setattr(JointDistribution, method,
+                        lambda d, *a: fault if a == args else original(d, *a))
+    assert corollary_bound_check(g, singletons).entropy_floor_holds is False
 
 
 def test_exhaustive_partitions_satisfy_product_bound():
     rng = random.Random(41)
     for _ in range(25):
         g = random_graph(rng, max_side=3, max_edges=6)
-        left_min, right_min = (
-            min(d.values()) for d in g.degrees()
-        )
+        left_min, right_min = min_degrees(g)
         for parts in valid_matching_partitions(g):
             assert len(parts) >= left_min * right_min
+            assert _product_bound(g, len(parts)) == {
+                "K": len(parts), "L": left_min, "R": right_min, "product_bound_holds": True}
 
 
 def test_partition_coloring_has_unique_common_value():

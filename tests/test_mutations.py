@@ -131,7 +131,7 @@ def _mutate(data, doc) -> bytes:
 @given(data=st.data())
 def test_mutated_documents_keep_the_exit_code_contract(kind, data):
     name, commands = READERS[kind]
-    raw = _mutate(data, json.loads((INPUTS / name).read_text()))
+    raw = _mutate(data, json.loads((INPUTS / name).read_text(encoding="utf-8")))
     with tempfile.TemporaryDirectory() as tmp:
         mutated = Path(tmp) / "mutated.json"
         mutated.write_bytes(raw)
