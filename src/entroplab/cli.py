@@ -134,8 +134,8 @@ def _conditions() -> dict:
     """Condition id -> checker; a checker patched into `conditions` is the one that runs."""
     from . import conditions as c
     return {
-        c.COND_INDEPENDENCE: lambda d: c.check_independence(d, "X", "Y"),
-        c.COND_CI_GIVEN: lambda d: c.check_ci_given(d, "X", "Y", "A"),
+        c.COND_INDEPENDENCE: c.check_independence,
+        c.COND_CI_GIVEN: c.check_ci_given,
         c.COND_FUNCTIONAL: c.check_functional,
         c.COND_SUPPORT_SATURATION: c.check_support_saturation,
         c.COND_UNIQUE_COMMON_VALUE: c.check_unique_common_value,

@@ -1,6 +1,8 @@
 """Witness-producing checkers for support and product conditions on joint
 distributions, plus consistency audits over their implications.
 
+Every check reads the paper's roles: A is the common variable, X and Y
+are the two sides, and a role a distribution lacks is a constant column.
 All checks are decided exactly on the integer counts of the marginal
 tables, each over its own denominator, by cross-multiplication; no verdict
 in this module depends on floating point.  A failed check always carries the
@@ -8,7 +10,7 @@ lexicographically smallest violating tuple as its witness.
 
 Condition ids used in verdicts and by the CLI:
 
-  independence               p(u, v) = p(u) * p(v) at every cell
+  independence               p(x, y) = p(x) * p(y) at every cell
   conditional-independence   p(a,x) * p(a,y) = p(a,x,y) * p(a) at every cell
   functional                 each (x, y) cell in the support carries one a
   cond-2-B                   p(a,x) > 0 and p(a,y) > 0 imply p(a,x,y) > 0
@@ -16,7 +18,7 @@ Condition ids used in verdicts and by the CLI:
   pointwise-product          p(a,x) p(a,y) p(x,y) <= p(a) p(x) p(y) p(a,x,y)
 
 Lemma 1 reads on S = {(a, x, y) : p(a,x) > 0 and p(a,y) > 0}, the cells of
-``cells("A", "X", "Y")``, which hold supp(A,X,Y): functional means that
+``d.cells("A")``, which hold supp(A,X,Y): functional means that
 (a, x, y) -> (x, y) is one-to-one on supp(A,X,Y), cond-2-B that S equals
 supp(A,X,Y), and cond-2-C that the map is one-to-one on all of S.  These
 are the implications ``audit_lemma1`` checks.
@@ -28,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .distributions import JointDistribution, Outcome, _as_names, _disjoint
+from .distributions import JointDistribution
 from .errors import FAIL, PASS, Verdict, _mass_text
 
 COND_INDEPENDENCE = "independence"
@@ -39,41 +41,32 @@ COND_UNIQUE_COMMON_VALUE = "cond-2-C"
 COND_POINTWISE_PRODUCT = "pointwise-product"
 
 
-def _value(outcome: Outcome):
-    # single symbols serialize bare, grouped values as lists
-    return outcome[0] if len(outcome) == 1 else list(outcome)
+def check_independence(d: JointDistribution) -> Verdict:
+    """Exact independence of X and Y, zero cells included: conditional
+    independence given no variable."""
+    return _check_ci(COND_INDEPENDENCE, d, ())
 
 
-def check_independence(d: JointDistribution, first, second) -> Verdict:
-    """Exact independence of two disjoint variable groups, zero cells
-    included: conditional independence given no variable."""
-    return _check_ci(COND_INDEPENDENCE, d, first, second, ())
+def check_ci_given(d: JointDistribution) -> Verdict:
+    """Conditional independence of X and Y given A, decided through the exact
+    cross-multiplied form p(a,x) p(a,y) = p(a,x,y) p(a)."""
+    return _check_ci(COND_CI_GIVEN, d, ("A",))
 
 
-def check_ci_given(d: JointDistribution, first, second, given) -> Verdict:
-    """Conditional independence of two groups given a third, decided through
-    the exact cross-multiplied form p(a,x) p(a,y) = p(a,x,y) p(a)."""
-    return _check_ci(COND_CI_GIVEN, d, first, second, given)
-
-
-def _check_ci(condition: str, d: JointDistribution, first, second, given) -> Verdict:
-    x = _as_names(first)
-    y = _as_names(second)
-    a = _as_names(given)
-    _disjoint(x, y, a)
-    ta, den_a = d._table(a)
-    tax, den_ax = d._table(a + x)
-    tay, den_ay = d._table(a + y)
-    taxy, den_axy = d._table(a + x + y)
+def _check_ci(condition: str, d: JointDistribution, given: tuple[str, ...]) -> Verdict:
+    ta, den_a = d._table(given)
+    tax, den_ax = d._table(given + ("X",))
+    tay, den_ay = d._table(given + ("Y",))
+    taxy, den_axy = d._table(given + ("X", "Y"))
     # Over integer counts both sides carry the other side's denominators:
     # n(a,x) n(a,y) den_axy den_a = n(a,x,y) n(a) den_ax den_ay.
     left = den_axy * den_a
     right = den_ax * den_ay
     # Cells with p(a,x) = 0 or p(a,y) = 0 make both sides vanish (the right
     # side because p(a,x,y) <= p(a,x)), so only the joined support matters.
-    # With a empty, the one group cell () walks every x cell times every
-    # y cell, zero cells of the joint table included.
-    for ca, xs, ys in d.cells(a, x, y):
+    # With nothing given, the one group cell () walks every x cell times
+    # every y cell, zero cells of the joint table included.
+    for ca, xs, ys in d.cells(given):
         na = ta[ca] * right
         for cx in xs:
             nx = tax[ca + cx] * left
@@ -81,45 +74,37 @@ def _check_ci(condition: str, d: JointDistribution, first, second, given) -> Ver
                 lhs = nx * tay[ca + cy]
                 rhs = taxy.get(ca + cx + cy, 0) * na
                 if lhs != rhs:
-                    witness = {name: val for name, val in zip(a + x + y, ca + cx + cy)}
-                    return Verdict(condition, witness)
+                    return Verdict(condition, dict(zip(given + ("X", "Y"), ca + cx + cy)))
     return Verdict(condition)
 
 
-def check_functional(d: JointDistribution, target="A", given=("X", "Y")) -> Verdict:
-    """Support-level functional dependence: every cell of ``given`` inside the
-    support determines exactly one value of ``target``.  Decided by counting
-    first: it holds exactly when the table over ``target`` + ``given`` has as
-    many cells as the table over ``given``; only a failure groups and sorts,
-    for the smallest witness."""
-    t = _as_names(target)
-    g = _as_names(given)
-    _disjoint(t, g)
-    counted = d._table(t + g)[0]
-    if len(counted) == len(d._table(g)[0]):
+def check_functional(d: JointDistribution) -> Verdict:
+    """Support-level functional dependence: every (x, y) cell inside the
+    support determines exactly one a.  Decided by counting first: it holds
+    exactly when the (A, X, Y) table has as many cells as the (X, Y) table;
+    only a failure sorts, for the smallest witness."""
+    counted = d._table(("A", "X", "Y"))[0]
+    if len(counted) == len(d._table(("X", "Y"))[0]):
         return Verdict(COND_FUNCTIONAL)
-    # sorted by (given, target), the first neighbours sharing a given cell are the witness
-    w = len(t)
-    cells = sorted(counted, key=lambda cell: (cell[w:], cell[:w]))
-    first, second = next(pair for pair in zip(cells, cells[1:]) if pair[0][w:] == pair[1][w:])
-    witness = {name: val for name, val in zip(g, first[w:])}
-    witness["a"] = _value(first[:w])
-    witness["a2"] = _value(second[:w])
-    return Verdict(COND_FUNCTIONAL, witness)
+    # sorted by (x, y, a), the first neighbours sharing an (x, y) cell are the witness
+    cells = sorted((x, y, a) for a, x, y in counted)
+    (x, y, a), (_, _, a2) = next(pair for pair in zip(cells, cells[1:])
+                                 if pair[0][:2] == pair[1][:2])
+    return Verdict(COND_FUNCTIONAL, {"X": x, "Y": y, "a": a, "a2": a2})
 
 
 def check_support_saturation(d: JointDistribution) -> Verdict:
     """cond-2-B: whenever a is possible with x and possible with y, the triple
     (a, x, y) itself has positive mass.  Decided by counting first: it holds
     exactly when the (A, X, Y) table has sum over a of |xs| |ys| cells, over
-    the fibres of ``cells("A", "X", "Y")``; only a failure scans them, in
+    the fibres of ``d.cells("A")``; only a failure scans them, in
     sorted order, for the smallest witness."""
     taxy = d._table(("A", "X", "Y"))[0]
-    if sum(len(xs) * len(ys) for _, xs, ys in d.cells("A", "X", "Y")) == len(taxy):
+    if sum(len(xs) * len(ys) for _, xs, ys in d.cells("A")) == len(taxy):
         return Verdict(COND_SUPPORT_SATURATION)
     a, x, y = next(
         (a, x, y)
-        for (a,), xs, ys in d.cells("A", "X", "Y")
+        for (a,), xs, ys in d.cells("A")
         for (x,) in xs
         for (y,) in ys
         if (a, x, y) not in taxy
@@ -130,13 +115,13 @@ def check_support_saturation(d: JointDistribution) -> Verdict:
 def check_unique_common_value(d: JointDistribution) -> Verdict:
     """cond-2-C: no two distinct values of A are both possible with some x and
     both possible with some y, for any (x, y), p(x, y) = 0 included.  One walk
-    over the cells (a, x, y) of ``cells("A", "X", "Y")`` meets each a in sorted
+    over the cells (a, x, y) of ``d.cells("A")`` meets each a in sorted
     order, so the first a seen at an (x, y) is its smallest, and the smallest
     clash of the walk is the witness."""
     first = {}
     best = min(
         ((seen, a, x, y)
-         for (a,), xs, ys in d.cells("A", "X", "Y")
+         for (a,), xs, ys in d.cells("A")
          for (x,) in xs
          for (y,) in ys
          if (seen := first.setdefault((x, y), a)) != a),
@@ -197,7 +182,7 @@ def check_pointwise_product(d: JointDistribution) -> PointwiseProductReport:
     worst = None
     best_lhs, best_rhs = 0, 1
     argmax = None
-    for (a,), xs, ys in d.cells("A", "X", "Y"):
+    for (a,), xs, ys in d.cells("A"):
         na = ta[(a,)] * right
         for (x,) in xs:
             lx = tax[(a, x)] * left
@@ -264,8 +249,8 @@ class Lemma1Audit(NamedTuple):
 def audit_lemma1(d: JointDistribution) -> Lemma1Audit:
     """Evaluate all four conditions on (A, X, Y) and cross-check the
     implication structure between them."""
-    ci = check_ci_given(d, "X", "Y", "A")
-    fn = check_functional(d, "A", ("X", "Y"))
+    ci = check_ci_given(d)
+    fn = check_functional(d)
     sat = check_support_saturation(d)
     ucv = check_unique_common_value(d)
     violations = []

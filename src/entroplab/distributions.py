@@ -35,7 +35,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from itertools import chain, combinations, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (LabError, _at_least, _load_object, _mass_text, _rational_text, _ratio,
                      _strings)
@@ -90,7 +90,7 @@ class JointDistribution:
     marginal tables are cached internally.
     """
 
-    __slots__ = ("variables", "counts", "denominator", "_tables", "_fibres", "_entropies")
+    __slots__ = ("variables", "counts", "denominator", "_tables", "_cells", "_entropies")
 
     def __init__(self, variables: Iterable[str], counts, denominator: int):
         variables = tuple(variables)
@@ -132,7 +132,7 @@ class JointDistribution:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "denominator", denominator // g)
         object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_fibres", {})
+        object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "_entropies", {})
 
     def __setattr__(self, name, value):
@@ -210,29 +210,22 @@ class JointDistribution:
         self._tables[names] = (counts, den)
         return counts, den
 
-    def fibres(self, group, rest) -> dict[Outcome, list[Outcome]]:
-        """The support of ``_table(group + rest)`` split by its ``group`` part:
-        each group cell, in sorted order, maps to the sorted ``rest`` cells it
-        occurs with.  Cached per ``(group, rest)``; treat it as read-only."""
+    def cells(self, group) -> list[tuple[Outcome, list[Outcome], list[Outcome]]]:
+        """The support split by its ``group`` part: ``(g, xs, ys)`` for every
+        group cell g of positive mass, in sorted order, where xs and ys are the
+        sorted ``(x,)`` and ``(y,)`` cells with p(g, x) > 0 and p(g, y) > 0.
+        The support conditions and the error-term sums range over the products
+        xs * ys.  Cached per group; treat it as read-only."""
         group = _as_names(group)
-        rest = _as_names(rest)
-        cached = self._fibres.get((group, rest))
+        cached = self._cells.get(group)
         if cached is None:
             width = len(group)
-            fibres = {}
-            for key in sorted(self._table(group + rest)[0]):
-                fibres.setdefault(key[:width], []).append(key[width:])
-            cached = self._fibres[group, rest] = fibres
+            xs, ys = {}, {}
+            for fibres, side in ((xs, "X"), (ys, "Y")):
+                for key in sorted(self._table(group + (side,))[0]):
+                    fibres.setdefault(key[:width], []).append(key[width:])
+            cached = self._cells[group] = [(g, xs[g], ys[g]) for g in xs]
         return cached
-
-    def cells(self, group, first, second) -> Iterator[tuple[Outcome, list[Outcome], list[Outcome]]]:
-        """Yield ``(g, xs, ys)`` for every group cell g of positive mass, in
-        sorted order, where xs and ys are the sorted cells of ``first`` and
-        ``second`` with p(g, x) > 0 and p(g, y) > 0.  The support conditions
-        and the error-term sums range over the products xs * ys."""
-        ys_by_group = self.fibres(group, second)
-        for g, xs in self.fibres(group, first).items():
-            yield g, xs, ys_by_group[g]
 
     def alphabet(self, variable: str) -> list[Symbol]:
         """Sorted support values of one variable."""

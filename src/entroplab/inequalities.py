@@ -56,8 +56,6 @@ def log2_fraction(q: Fraction) -> float:
     """log2 of a positive rational whose float sign agrees with the exact
     comparison of q against 1 (big numerators and denominators are taken
     through integer log2 to dodge overflow)."""
-    if q <= 0:
-        raise LabError("BAD_PARAM", f"log2 of non-positive rational {q}")
     if q == 1:
         return 0.0
     bits = math.log2(q.numerator) - math.log2(q.denominator)
@@ -147,7 +145,7 @@ def gamma_term(d: JointDistribution) -> ErrorTermCertificate:
     inv_b, lcm_b = _inverses(tb)
     # p(b,x) p(b,y) / p(b) = n(b,x) n(b,y) (lcm_b / n(b)) * den_b / (den_bx den_by lcm_b)
     total = 0
-    for (_, b), xs, ys in d.cells(("A", "B"), "X", "Y"):
+    for (_, b), xs, ys in d.cells(("A", "B")):
         sum_x = sum(tbx[(b, x)] for (x,) in xs)
         sum_y = sum(tby[(b, y)] for (y,) in ys)
         total += sum_x * sum_y * inv_b[(b,)]
@@ -169,7 +167,7 @@ def delta_term(d: JointDistribution) -> ErrorTermCertificate:
     inv_x, lcm_x = _inverses(tx)
     inv_y, lcm_y = _inverses(ty)
     total = 0
-    for (a, b), xs, ys in d.cells(("A", "B"), "X", "Y"):
+    for (a, b), xs, ys in d.cells(("A", "B")):
         sum_x = sum(tax[(a, x)] * tbx[(b, x)] * inv_x[(x,)] for (x,) in xs)
         sum_y = sum(tay[(a, y)] * tby[(b, y)] * inv_y[(y,)] for (y,) in ys)
         total += sum_x * sum_y * inv_a[(a,)] * inv_b[(b,)]

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from entroplab.distributions import JointDistribution, load_distribution
 from entroplab.families import gen_distinct_pairs, gen_field_lines, sample_cond2c
 from entroplab.graphs import dump_cover, extend_with_cover_index, gen_gnk, min_biclique_cover
 
-from conftest import pairs_triple, xor_triple
+from conftest import copied_bit, pairs_triple, xor_triple
 
 
 def invoke(*argv):
@@ -286,6 +287,53 @@ def test_verify_fails_when_one_term_fails(monkeypatch, dist_file, theorem, term,
     monkeypatch.setattr(inequalities, term, lambda d: fault(original(d)))
     code, doc = invoke_json("verify", "--dist", path, "--theorem", theorem)
     assert (code, doc["status"]) == (3, "FAIL")
+
+
+def _failed(verdict):
+    return verdict._replace(witness={"a": "0"})
+
+
+@pytest.mark.parametrize(
+    "check, violation",
+    [
+        ("check_support_saturation", "conditional-independence->cond-2-B"),
+        ("check_unique_common_value", "functional+cond-2-B->cond-2-C"),
+        ("check_functional", "cond-2-C->functional"),
+    ],
+)
+def test_lemma1_audit_fails_when_one_check_fails(monkeypatch, dist_file, check, violation):
+    """Every condition holds on the copied bit; one faulted check, the others
+    still true, breaks exactly one implication, and verify exits 3."""
+    d = copied_bit()
+    assert conditions.audit_lemma1(d).violations == ()
+    original = getattr(conditions, check)
+    monkeypatch.setattr(conditions, check, lambda d: _failed(original(d)))
+    assert conditions.audit_lemma1(d).violations == (violation,)
+    code, doc = invoke_json("verify", "--dist", dist_file(d), "--theorem", "lemma1")
+    assert (code, doc["violations"], doc["ok"]) == (3, [violation], False)
+
+
+def test_lemma3_audit_fails_when_a_conditioned_check_fails(monkeypatch, dist_file):
+    """cond-2-C faulted on every call after the audit's precondition: each
+    trial is a failure record carrying its trial, event and witness, and
+    verify exits 3."""
+    d = copied_bit()
+    original = conditions.check_unique_common_value
+
+    def fault():
+        calls = itertools.count()
+        monkeypatch.setattr(conditions, "check_unique_common_value",
+                            lambda d: _failed(original(d)) if next(calls) else original(d))
+
+    fault()
+    audit = conditions.audit_lemma3(d, trials=3, seed=5)
+    assert audit.status == "FAIL"
+    assert [(f["trial"], f["witness"]) for f in audit.failures] == [(t, {"a": "0"}) for t in range(3)]
+    assert all(f["event"].endswith(" retained atoms") for f in audit.failures)
+    fault()
+    code, doc = invoke_json("verify", "--dist", dist_file(d), "--theorem", "lemma3",
+                            "--trials", "3", "--seed", "5")
+    assert (code, doc["status"], doc["failures"]) == (3, "FAIL", 3)
 
 
 def _negative_split(g, cover):

@@ -23,7 +23,7 @@ from entroplab.conditions import (
     check_unique_common_value,
 )
 from entroplab.distributions import JointDistribution, info_report, load_distribution
-from entroplab.errors import PASS, LabError, PreconditionFailed, Verdict
+from entroplab.errors import PASS, PreconditionFailed, Verdict
 from entroplab.families import gen_field_lines
 from entroplab.inequalities import (
     delta_term,
@@ -56,33 +56,19 @@ def dist(variables, rows):
 
 def test_xor_marginal_pairs_are_independent():
     d = xor_triple()
-    assert check_independence(d, "X", "Y").holds
-    assert check_independence(d, "X", "A").holds
-    assert check_independence(d, "Y", "A").holds
-
-
-def test_xor_joint_pair_is_dependent_on_a():
-    v = check_independence(xor_triple(), ("X", "Y"), "A")
-    assert not v.holds
-    assert v.witness == {"X": "0", "Y": "0", "A": "0"}
+    assert check_independence(d).holds
 
 
 def test_independence_detects_zero_cell_dependence():
     # support misses the (x2, y2) cell entirely
     d = dist(("X", "Y"), [("x1", "y1", 1), ("x1", "y2", 1), ("x2", "y1", 1)])
-    v = check_independence(d, "X", "Y")
+    v = check_independence(d)
     assert not v.holds
     assert v.witness == {"X": "x1", "Y": "y1"}
 
 
-def test_independence_overlap_rejected():
-    with pytest.raises(LabError) as err:
-        check_independence(xor_triple(), ("A", "X"), "X")
-    assert err.value.code == "OVERLAPPING_SETS"
-
-
 def test_xor_fails_ci_given_a_with_smallest_witness():
-    v = check_ci_given(xor_triple(), "X", "Y", "A")
+    v = check_ci_given(xor_triple())
     assert not v.holds
     assert v.witness == {"A": "0", "X": "0", "Y": "0"}
 
@@ -92,11 +78,11 @@ def test_fork_output_satisfies_ci_given_group():
     for _ in range(25):
         d = random_support_distribution(rng, ("A", "X", "Y"), max_size=3)
         f = markov_fork(d)
-        assert check_ci_given(f, "X", "Y", "A").holds
+        assert check_ci_given(f).holds
 
 
 def test_independent_bits_satisfy_ci():
-    assert check_ci_given(independent_bits(("A", "X", "Y")), "X", "Y", "A").holds
+    assert check_ci_given(independent_bits(("A", "X", "Y"))).holds
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +90,7 @@ def test_independent_bits_satisfy_ci():
 
 
 def test_xor_is_functional():
-    assert check_functional(xor_triple(), "A", ("X", "Y")).holds
+    assert check_functional(xor_triple()).holds
 
 
 def test_two_values_on_one_cell_yield_witness():
@@ -112,7 +98,7 @@ def test_two_values_on_one_cell_yield_witness():
         ("A", "X", "Y"),
         [("a1", "x1", "y1", 1), ("a2", "x1", "y1", 1), ("a1", "x2", "y2", 2)],
     )
-    v = check_functional(d, "A", ("X", "Y"))
+    v = check_functional(d)
     assert not v.holds
     assert v.witness == {"X": "x1", "Y": "y1", "a": "a1", "a2": "a2"}
 
@@ -209,13 +195,11 @@ def _scan_fibres(d, group, rest):
             for cell, run in groupby(keys, itemgetter(slice(width)))}
 
 
-def scan_functional(d, target=("A",), given=("X", "Y")):
-    for cell, values in _scan_fibres(d, given, target).items():
+def scan_functional(d):
+    for (x, y), values in _scan_fibres(d, ("X", "Y"), ("A",)).items():
         if len(values) > 1:
-            witness = dict(zip(given, cell))
-            for key, value in zip(("a", "a2"), values):
-                witness[key] = value[0] if len(value) == 1 else list(value)
-            return Verdict(COND_FUNCTIONAL, witness)
+            (a,), (a2,) = values[:2]
+            return Verdict(COND_FUNCTIONAL, {"X": x, "Y": y, "a": a, "a2": a2})
     return Verdict(COND_FUNCTIONAL)
 
 
@@ -247,9 +231,6 @@ def scan_unique_common_value(d):
 
 SCANNED_CHECKS = [
     ("functional", check_functional, scan_functional),
-    ("functional of (A, B) given X",
-     lambda d: check_functional(d, ("A", "B"), "X"),
-     lambda d: scan_functional(d, ("A", "B"), ("X",))),
     ("cond-2-B", check_support_saturation, scan_support_saturation),
     ("cond-2-C", check_unique_common_value, scan_unique_common_value),
 ]
@@ -268,7 +249,7 @@ def _seeded_supports():
             kept = rng.sample(sorted(d.counts), rng.randint(1, len(d.counts)))
             d = d.condition(kept)
         warm = JointDistribution(d.variables, d.counts, d.denominator)
-        check_ci_given(warm, "X", "Y", "A")
+        check_ci_given(warm)
         yield trial, d, warm
 
 
@@ -289,15 +270,28 @@ def test_counting_checks_match_the_sorted_scans():
 
 def test_every_check_groups_each_table_once():
     """After every check of `check --all` on a loaded field-lines q=8 input,
-    no (X, A) or (Y, A) table and no second table over {A, X, Y} exists,
-    and a second fibre request returns the cached map."""
+    no (X, A) or (Y, A) table and no second table over {A, X, Y} exists."""
     d = load_distribution(gen_field_lines(3, "1/2").dumps())
     verdicts = {name: check(d) for name, check in _conditions().items()}
     assert verdicts["functional"].holds and verdicts["cond-2-B"].holds
     assert ("X", "A") not in d._tables and ("Y", "A") not in d._tables
     assert [names for names in d._tables if set(names) == {"A", "X", "Y"}] == [("A", "X", "Y")]
-    assert d.fibres("A", "X") is d.fibres(("A",), ("X",))
-    assert d.fibres(("A", "B"), "Y") is d.fibres(("A", "B"), "Y")
+
+
+def test_cells_match_the_sorted_scans():
+    """`cells(group)` splits the group + X and group + Y supports as the
+    plain scans do, for no group, for A and for (A, B), a missing B read as
+    the constant column; a second call returns the same cached list."""
+    missing_b = 0
+    for trial, d, _ in _seeded_supports():
+        missing_b += "B" not in d.variables
+        for group in ((), ("A",), ("A", "B")):
+            xs = _scan_fibres(d, group, ("X",))
+            ys = _scan_fibres(d, group, ("Y",))
+            assert d.cells(group) == [(g, xs[g], ys[g]) for g in xs], (group, trial)
+            assert d.cells(group) is d.cells(group)
+        assert d.cells("A") is d.cells(("A",))
+    assert missing_b
 
 
 def test_failing_functional_check_reads_the_table_it_counted():
@@ -373,8 +367,8 @@ def test_support_conditions_ignore_masses():
             == check_unique_common_value(other).holds
         )
         assert (
-            check_functional(d, "A", ("X", "Y")).holds
-            == check_functional(other, "A", ("X", "Y")).holds
+            check_functional(d).holds
+            == check_functional(other).holds
         )
 
 
@@ -467,7 +461,7 @@ def test_verdict_holds_exactly_when_it_has_no_witness():
 
 
 def test_result_records_are_immutable():
-    verdict = check_independence(xor_triple(), "X", "Y")
+    verdict = check_independence(xor_triple())
     report = check_pointwise_product(xor_triple())
     audit = audit_lemma3(copied_bit(), trials=2, seed=1)
     for record, name in ((verdict, "witness"), (report, "equality"), (audit, "failures")):

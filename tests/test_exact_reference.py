@@ -87,9 +87,9 @@ def reference_ci(d):
     return None
 
 
-def reference_independence(d, u, v):
-    """The smallest cell (cu, cv), in sorted order over the product of the
-    supports of u and v, with p(u, v) != p(u) p(v); None when there is none.
+def reference_independence(d):
+    """The smallest cell (x, y), in sorted order over the product of the
+    supports of X and Y, with p(x, y) != p(x) p(y); None when there is none.
     A role the distribution lacks reads as the constant "*"."""
 
     def marginal_of(names):
@@ -100,10 +100,10 @@ def reference_independence(d, u, v):
             out[key] = out.get(key, Fraction(0)) + p
         return out
 
-    pu, pv, puv = marginal_of(u), marginal_of(v), marginal_of(u + v)
-    for cu, cv in itertools.product(sorted(pu), sorted(pv)):
-        if puv.get(cu + cv, Fraction(0)) != pu[cu] * pv[cv]:
-            return dict(zip(u + v, cu + cv))
+    px, py, pxy = marginal_of(("X",)), marginal_of(("Y",)), marginal_of(("X", "Y"))
+    for cx, cy in itertools.product(sorted(px), sorted(py)):
+        if pxy.get(cx + cy, Fraction(0)) != px[cx] * py[cy]:
+            return dict(zip(("X", "Y"), cx + cy))
     return None
 
 
@@ -137,7 +137,7 @@ def test_samples_reach_large_denominators_and_every_verdict():
     reports = [check_pointwise_product(d) for d in SAMPLES]
     assert {r.holds for r in reports} == {True, False}
     assert {r.equality for r in reports} == {True, False}
-    assert {check_ci_given(d, "X", "Y", "A").holds for d in SAMPLES} == {True, False}
+    assert {check_ci_given(d).holds for d in SAMPLES} == {True, False}
 
 
 @pytest.mark.parametrize("index", range(len(SAMPLES)))
@@ -164,14 +164,14 @@ def test_pointwise_product_matches_the_definition(index):
 def test_ci_verdict_matches_the_definition(index):
     d = SAMPLES[index]
     witness = reference_ci(d)
-    verdict = check_ci_given(d, "X", "Y", "A")
+    verdict = check_ci_given(d)
     assert verdict.holds is (witness is None)
     assert verdict.witness == witness
 
 
-def assert_independence_matches(d, u, v):
-    witness = reference_independence(d, u, v)
-    verdict = check_independence(d, u, v)
+def assert_independence_matches(d):
+    witness = reference_independence(d)
+    verdict = check_independence(d)
     assert verdict.holds is (witness is None)
     assert verdict.witness == witness
     return verdict
@@ -180,12 +180,9 @@ def assert_independence_matches(d, u, v):
 @pytest.mark.parametrize("index", range(len(SAMPLES)))
 def test_independence_verdict_matches_the_definition(index):
     d = SAMPLES[index]
-    for u, v in ((("X",), ("Y",)), (("A",), ("B",)), (("X", "Y"), ("A",)), (("B",), ("A", "X"))):
-        assert_independence_matches(d, u, v)
+    assert_independence_matches(d)
     # B is a missing role once it is marginalized away
-    no_b = JointDistribution(("A", "X", "Y"), *d._table(("A", "X", "Y")))
-    for u, v in ((("B",), ("X",)), (("A", "B"), ("Y",)), (("X", "Y"), ("A",))):
-        assert_independence_matches(no_b, u, v)
+    assert_independence_matches(JointDistribution(("A", "X", "Y"), *d._table(("A", "X", "Y"))))
 
 
 def test_independence_holds_on_a_product_distribution():
@@ -197,7 +194,6 @@ def test_independence_holds_on_a_product_distribution():
         for y, wy in enumerate(weights["Y"])
     }
     d = JointDistribution(("A", "X", "Y"), counts, 3 * 6 * 6)
-    for u, v in ((("A",), ("X",)), (("A", "X"), ("Y",)), (("X", "Y"), ("A",)), (("B",), ("Y",))):
-        assert assert_independence_matches(d, u, v).holds
-    # the seeded samples reach the other verdict
-    assert {check_independence(d, ("X", "Y"), ("A",)).holds for d in SAMPLES} == {True, False}
+    assert assert_independence_matches(d).holds
+    # the seeded samples reach both verdicts
+    assert {check_independence(d).holds for d in SAMPLES} == {True, False}

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from entroplab.conditions import check_pointwise_product
 from entroplab.distributions import JointDistribution
-from entroplab.errors import FAIL, NOT_APPLICABLE, PASS, PreconditionFailed
+from entroplab.errors import FAIL, NOT_APPLICABLE, PASS, LabError, PreconditionFailed
 from entroplab.inequalities import (
+    _certificate,
     _delta_prime,
     delta_term,
     entropy_split_gap,
@@ -269,6 +270,16 @@ def test_theorem2_never_fails(d):
         if cert.pointwise.holds:
             assert cert.pointwise.equality
             assert cert.gap.gap >= -TOL
+
+
+@pytest.mark.parametrize("kind", ["gamma", "delta", "delta-prime"])
+@pytest.mark.parametrize("power_sum", [Fraction(0), Fraction(-1)])
+def test_certificate_refuses_a_non_positive_power_sum(kind, power_sum):
+    """The one refusal of a power sum with no log names the error term."""
+    with pytest.raises(LabError) as err:
+        _certificate(kind, power_sum)
+    assert err.value.code == "BAD_PARAM"
+    assert str(err.value) == f"{kind} power sum {power_sum} must be positive"
 
 
 def test_certificates_serialize():
