@@ -282,13 +282,13 @@ def audit_lemma3(d: JointDistribution, trials: int, seed: int) -> Lemma3Audit:
     rng = random.Random(seed)
     outcomes = sorted(d.counts)
     b_values = d.alphabet("B") if "B" in d.variables else []
+    at = d.variables.index("B") if b_values else None
     failures = []
     for trial in range(trials):
         if b_values and rng.random() < 0.5:
             b = rng.choice(b_values)
-            event = {"B": b}
             description = {"trial": trial, "event": f"B={b}"}
-            conditioned = d.condition(event)
+            conditioned = d.condition(o for o in outcomes if o[at] == b)
         else:
             count = rng.randint(1, len(outcomes))
             kept = rng.sample(outcomes, count)

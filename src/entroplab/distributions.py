@@ -23,7 +23,10 @@ terms, which makes emit/load/emit a fixed point byte for byte.
 
 A canonical role (``ROLE_ORDER``) that a distribution does not declare
 reads as a constant ``"*"`` column in every marginal table, so a missing B
-is the constant variable wherever a measure or a condition names it.
+is the constant variable wherever a measure or a condition names it.  The
+measures take variable groups that may overlap: a name repeated across
+them adds no information, so H(A | A, X) is 0.  ``condition`` takes the
+event in one form, the outcomes of the distribution to keep.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import warnings
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable
 
@@ -66,13 +69,6 @@ def _plog2(count: int, den: int) -> float:
     # p * log2(p) for p = count/den, the logs taken of p in lowest terms
     g = math.gcd(count, den)
     return count / den * (math.log2(count // g) - math.log2(den // g))
-
-
-def _disjoint(*groups: tuple[str, ...]) -> None:
-    # refuse variable groups that share a name, naming the first such pair
-    for s, t in combinations(groups, 2):
-        if set(s) & set(t):
-            raise LabError("OVERLAPPING_SETS", f"{s} and {t} overlap")
 
 
 class JointDistribution:
@@ -160,18 +156,6 @@ class JointDistribution:
     # ------------------------------------------------------------------
     # variable handling
 
-    def _columns(self, variables: Iterable[str] | str) -> tuple[int, ...]:
-        names = _as_names(variables)
-        cols = []
-        for name in names:
-            try:
-                cols.append(self.variables.index(name))
-            except ValueError:
-                raise LabError(
-                    "UNKNOWN_VARIABLE", f"variable {name!r} not among {self.variables}"
-                ) from None
-        return tuple(cols)
-
     def _table(self, variables: Iterable[str] | str) -> tuple[Counts, int]:
         """The marginal over ``variables`` as ``(counts, denominator)``, the
         counts integers over the table's own lowest-terms denominator, keyed
@@ -186,8 +170,10 @@ class JointDistribution:
         if names == self.variables:
             counts, den = self.counts, self.denominator
         else:
-            if not set(names).issubset(ROLE_ORDER + self.variables):
-                self._columns([n for n in names if n not in ROLE_ORDER])  # UNKNOWN_VARIABLE
+            for name in names:  # in argument order, so the first unknown name is named
+                if name not in self.variables and name not in ROLE_ORDER:
+                    raise LabError("UNKNOWN_VARIABLE",
+                                   f"variable {name!r} not among {self.variables}")
             # Marginalize the smallest known table holding every requested
             # column the distribution has (the atoms at worst).  Whatever the
             # source, keys come out in order of first occurrence among the
@@ -234,26 +220,13 @@ class JointDistribution:
     # ------------------------------------------------------------------
     # core operations
 
-    def condition(self, event) -> "JointDistribution":
-        """Condition on a positive-mass event and renormalize exactly.
-
-        ``event`` is either a mapping from variable names to one symbol each
-        (an outcome is retained when every named variable takes its symbol),
-        or an iterable of full outcome tuples naming the retained atoms.
-        """
-        if isinstance(event, Mapping):
-            cols = self._columns(tuple(event))
-            wanted = tuple(event.values())
-            retained = {o for o in self.counts if tuple(o[c] for c in cols) == wanted}
-        else:
-            retained = set()
-            for item in event:
-                outcome = tuple(item)
-                if len(outcome) != len(self.variables):
-                    raise LabError("SCHEMA_ERROR", f"event outcome {outcome} malformed")
-                retained.add(outcome)
+    def condition(self, kept: Iterable[Outcome]) -> "JointDistribution":
+        """Condition on the event ``kept``, the outcomes of this distribution
+        to retain, and renormalize exactly.  An event of zero mass raises
+        ZERO_MASS_EVENT."""
+        kept = set(kept)
         # p(o) / p(event) is the count of o over the event's count
-        counts = {o: n for o, n in self.counts.items() if o in retained}
+        counts = {o: n for o, n in self.counts.items() if o in kept}
         mass = sum(counts.values())
         if mass == 0:
             raise LabError("ZERO_MASS_EVENT", "conditioning event has zero mass")
@@ -283,7 +256,6 @@ class JointDistribution:
         """H(variables | given) = H(variables, given) - H(given)."""
         a = _as_names(variables)
         b = _as_names(given)
-        _disjoint(a, b)
         return self.entropy(a + b) - self.entropy(b)
 
     def mutual_info(self, first, second, given=()) -> float:
@@ -291,20 +263,12 @@ class JointDistribution:
         u = _as_names(first)
         v = _as_names(second)
         w = _as_names(given)
-        _disjoint(u, v, w)
         return (
             self.entropy(u + w)
             + self.entropy(v + w)
             - self.entropy(u + v + w)
             - self.entropy(w)
         )
-
-    def triple_mutual_info(self, first, second, third) -> float:
-        """I(first : second : third) = I(first : second) - I(first : second | third).
-
-        Symmetric in its arguments and may be negative.
-        """
-        return self.mutual_info(first, second) - self.mutual_info(first, second, third)
 
     # ------------------------------------------------------------------
     # serialization
@@ -347,15 +311,6 @@ def _as_names(variables: Iterable[str] | str) -> tuple[str, ...]:
     if isinstance(variables, str):
         return (variables,)
     return tuple(variables)
-
-
-def _insert_by_role(names: tuple[str, ...], new: str) -> tuple[str, ...]:
-    # Keep the canonical A, B, X, Y, Z order when every name is a role;
-    # otherwise append at the end.
-    if new in ROLE_ORDER and all(n in ROLE_ORDER for n in names):
-        merged = sorted(names + (new,), key=ROLE_ORDER.index)
-        return tuple(merged)
-    return names + (new,)
 
 
 def load_distribution(doc) -> JointDistribution:
@@ -418,7 +373,7 @@ def info_report(d: JointDistribution) -> dict[str, float]:
     m["I(X:Y|A)"] = d.mutual_info("X", "Y", "A")
     m["I(A:B|X)"] = d.mutual_info("A", "B", "X")
     m["I(A:B|Y)"] = d.mutual_info("A", "B", "Y")
-    m["I(X:Y:A)"] = d.triple_mutual_info("X", "Y", "A")
+    m["I(X:Y:A)"] = m["I(X:Y)"] - m["I(X:Y|A)"]
     for key, value in m.items():
         if key.startswith("H(") and not _at_least(value):
             raise LabError("BAD_PARAM", f"negative entropy {key} = {value}")

@@ -30,7 +30,7 @@ import math
 import random
 from fractions import Fraction
 
-from .distributions import JointDistribution, _insert_by_role
+from .distributions import ROLE_ORDER, JointDistribution
 from .errors import LabError, TooLarge, _ratio
 
 ATOM_BUDGET = 10**6
@@ -248,7 +248,7 @@ def extend_with_random_B(d: JointDistribution, b_size: int, seed: int) -> JointD
     if count > ATOM_BUDGET:
         raise TooLarge(f"a B column of size {b_size} would make {count} atoms")
     rng = random.Random(seed)
-    variables = _insert_by_role(d.variables, "B")
+    variables = tuple(sorted(d.variables + ("B",), key=ROLE_ORDER.index))
     at = variables.index("B")
     counts = {}
     for outcome, n in sorted(d.counts.items()):

@@ -733,7 +733,8 @@ def extend_with_cover_index(g: ColoredBipartiteGraph,
     )
     floor = _entropy_floor(d)
     statuses = tuple(
-        verify_theorem1(ext.condition({"Z": str(i)})).status for i in range(len(cover))
+        verify_theorem1(ext.condition(o for o in ext.counts if o[3] == str(i))).status
+        for i in range(len(cover))
     )
     return ext, ZExtensionReport(len(cover), slack, _at_least(slack), ext.entropy("Z"), floor,
                                  _at_least(len(cover), floor), statuses)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroplab.conditions import check_pointwise_product
-from entroplab.distributions import JointDistribution
+from entroplab.distributions import JointDistribution, info_report
 from entroplab.errors import FAIL, NOT_APPLICABLE, PASS, LabError, PreconditionFailed
 from entroplab.inequalities import (
     _certificate,
@@ -93,7 +93,7 @@ def test_entropy_split_relates_to_triple_information_without_b():
     for _ in range(100):
         d = random_support_distribution(rng, ("A", "X", "Y"), max_size=3)
         gap = entropy_split_gap(d).gap
-        identity = d.triple_mutual_info("X", "Y", "A") - d.cond_entropy("A", ("X", "Y"))
+        identity = info_report(d)["I(X:Y:A)"] - d.cond_entropy("A", ("X", "Y"))
         assert gap == pytest.approx(identity, abs=TOL)
 
 
