@@ -732,9 +732,7 @@ def extend_with_cover_index(g: ColoredBipartiteGraph,
         - ext.cond_entropy("A", ("Y", "Z"))
     )
     floor = _entropy_floor(d)
-    statuses = tuple(
-        verify_theorem1(ext.condition(o for o in ext.counts if o[3] == str(i))).status
-        for i in range(len(cover))
-    )
+    statuses = tuple(verify_theorem1(ext.condition(o for o in ext.counts if o[3] == z)).status
+                     for z in map(str, range(len(cover))))
     return ext, ZExtensionReport(len(cover), slack, _at_least(slack), ext.entropy("Z"), floor,
                                  _at_least(len(cover), floor), statuses)

@@ -889,7 +889,7 @@ def _unreached(trees):
 UNREACHED_ALLOWED = {
     "graphs.dump_cover": "ROADMAP item 12 gives it a command",
     "graphs.dump_partition": "ROADMAP item 12 gives it a command",
-    "distributions.JointDistribution.atoms": "the benchmark's tracer reads it until ROADMAP item 1B",
+    "distributions.JointDistribution.atoms": "perfbench's tracer reads it until ROADMAP item 1B",
 }
 
 
