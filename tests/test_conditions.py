@@ -12,9 +12,7 @@ from entroplab.conditions import (
     COND_FUNCTIONAL,
     COND_SUPPORT_SATURATION,
     COND_UNIQUE_COMMON_VALUE,
-    Lemma3Audit,
     audit_lemma1,
-    audit_lemma3,
     check_ci_given,
     check_functional,
     check_independence,
@@ -24,7 +22,7 @@ from entroplab.conditions import (
 )
 from entroplab.distributions import JointDistribution, info_report, load_distribution
 from entroplab.errors import PASS, PreconditionFailed, Verdict
-from entroplab.families import gen_field_lines
+from entroplab.families import gen_field_lines, sample_cond2c
 from entroplab.inequalities import (
     delta_term,
     entropy_split_gap,
@@ -408,13 +406,10 @@ def test_lemma1_implications_hold_under_hypothesis(d):
     assert audit_lemma1(d).status == PASS
 
 
-def test_lemma3_requires_the_condition():
-    with pytest.raises(PreconditionFailed):
-        audit_lemma3(xor_triple(), trials=3, seed=1)
-
-
-def test_lemma3_conditioning_preserves_the_condition():
-    d = dist(
+def _lemma3_inputs():
+    """cond-2-C inputs: a fixed one with a B column, and sample_cond2c
+    inputs of several seeds and sizes, each with its B column and without it."""
+    yield dist(
         ("A", "B", "X", "Y"),
         [
             ("a", "b1", "x1", "y1", 2),
@@ -424,17 +419,41 @@ def test_lemma3_conditioning_preserves_the_condition():
             ("c", "b1", "x3", "y3", 1),
         ],
     )
-    assert check_unique_common_value(d).holds
-    audit = audit_lemma3(d, trials=100, seed=9)
-    assert audit.status == PASS
-    assert audit.trials == 100
+    sampled = [(1000 + i, tuple(random.Random(i).randint(1, 4) for _ in range(4)))
+               for i in range(20)]
+    sampled += [(seed, (na, 3, na, na)) for seed, na in enumerate((2, 3, 5, 6))]
+    for seed, sizes in sampled:
+        d = sample_cond2c(seed, sizes)
+        yield d
+        yield JointDistribution(("A", "X", "Y"), *d._table(("A", "X", "Y")))
 
 
-def test_lemma3_is_deterministic_for_a_seed():
-    d = copied_bit()
-    first = audit_lemma3(d, trials=20, seed=5)
-    second = audit_lemma3(d, trials=20, seed=5)
-    assert first == second
+def _lemma3_events(d, rng):
+    """Every B slice when a B column exists, then random atom subsets."""
+    outcomes = sorted(d.counts)
+    if "B" in d.variables:
+        at = d.variables.index("B")
+        for (b,) in sorted(d._table(("B",))[0]):
+            yield [o for o in outcomes if o[at] == b]
+    for _ in range(20):
+        yield rng.sample(outcomes, rng.randint(1, len(outcomes)))
+
+
+def test_lemma3_conditioning_preserves_the_condition():
+    """Lemma 3, which `verify --theorem lemma3` decides by one check: cond-2-C
+    holds after conditioning on any event of positive mass, because it reads
+    only supports and conditioning only shrinks them.  A checker that is not
+    monotone, such as one that also demands cond-2-B, fails here."""
+    rng = random.Random(9)
+    checked = 0
+    for d in _lemma3_inputs():
+        if not check_unique_common_value(d).holds:
+            continue
+        for kept in _lemma3_events(d, rng):
+            conditioned = d.condition(kept)
+            assert check_unique_common_value(conditioned).holds, (d.counts, sorted(kept))
+            checked += 1
+    assert checked > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +482,8 @@ def test_verdict_holds_exactly_when_it_has_no_witness():
 def test_result_records_are_immutable():
     verdict = check_independence(xor_triple())
     report = check_pointwise_product(xor_triple())
-    audit = audit_lemma3(copied_bit(), trials=2, seed=1)
-    for record, name in ((verdict, "witness"), (report, "equality"), (audit, "failures")):
+    for record, name in ((verdict, "witness"), (report, "equality")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     with pytest.raises(AttributeError):
         del verdict.witness
-    assert Lemma3Audit(4).failures == ()
-    assert Lemma3Audit(4).status == PASS

@@ -44,7 +44,7 @@ def test_distinct_pairs_matches_hand_built_oracle():
 def test_distinct_pairs_shape():
     d = gen_distinct_pairs(3)
     assert len(d.atoms) == 6
-    assert len(d.alphabet("A")) == 3
+    assert len(d._table(("A",))[0]) == 3
     assert d.entropy("A") == pytest.approx(math.log2(3), abs=TOL)
 
 
@@ -98,7 +98,7 @@ def test_disjoint_sets_entropies_match_closed_forms():
 def test_disjoint_sets_uniform_masses():
     d = gen_disjoint_sets(6, 2)
     assert set(d.atoms.values()) == {Fraction(1, 90)}
-    assert len(d.alphabet("A")) == 15
+    assert len(d._table(("A",))[0]) == 15
 
 
 def test_disjoint_sets_gap_matches_enumeration():
@@ -271,7 +271,7 @@ def test_sample_cond2c_deterministic():
 def test_sample_cond2c_single_color_is_trivially_admissible():
     d = sample_cond2c(3, (1, 2, 3, 3))
     assert check_unique_common_value(d).holds
-    assert d.alphabet("A") == ["0"]
+    assert list(d._table(("A",))[0]) == [("0",)]
 
 
 def test_extend_with_random_b_preserves_marginal():
@@ -327,7 +327,7 @@ def test_catalog_b_column_adds_at_most_twenty_bits():
 def test_extend_with_constant_b():
     base = gen_distinct_pairs(3)
     ext = extend_with_random_B(base, 1, seed=0)
-    assert ext.alphabet("B") == ["0"]
+    assert list(ext._table(("B",))[0]) == [("0",)]
     assert ext._table(("A", "X", "Y")) == (base.counts, base.denominator)
 
 
